@@ -236,31 +236,17 @@ DTOA_CODEGEN_FLOOR = 25.0
 #: ``STREAMSCOPE_GUARD_TOL`` on noisy shared runners.
 TRACE_OVERHEAD_TOL = 0.02
 
-#: Always-on metrics tolerance for the guard's seventh gate: the same FIR
+#: Always-on metrics tolerance for the guard's sixth gate: the same FIR
 #: measurement runs with the metrics registry *enabled* (the default), so
 #: its speedup must sit within this tighter fraction of the committed
 #: baseline — run-granularity counters must be ~free, not merely cheap.
 #: Override with ``REPRO_METRICS_GUARD_TOL`` on noisy shared runners.
 METRICS_OVERHEAD_TOL = 0.01
 
-#: Tuned-geomean tolerance for the guard's sixth gate: the geomean of the
-#: *tuned* codegen speedups at ``GUARD_SCALE`` must stay within this
-#: fraction of the *same run's* untuned codegen geomean over the same
-#: apps (within-run, so the scalar baselines cancel) — tuning that loses
-#: to the static heuristic is a regression, because the chunk ladder
-#: always contains the static default.  Override with
-#: ``REPRO_PGO_GUARD_TOL`` on noisy shared runners.
-PGO_GUARD_TOL = 0.10
-
-#: Apps the tuned-geomean gate races (a spread of chunk-sensitive and
-#: chunk-neutral shapes; the full set is E14's job, not the guard's).
-PGO_GUARD_APPS = ("FIR", "FMRadio", "DToA", "DCT")
-
-
 def run_guard() -> None:
     """CI perf guard: neither fast engine may regress.
 
-    Seven gates, cheapest first:
+    Six gates, cheapest first:
 
     1. FIR alone at full scale stays >= 50x under the batched engine (the
        whole fast path — generic lift, fusion, superbatching — in seconds).
@@ -279,13 +265,7 @@ def run_guard() -> None:
     5. The full table at ``GUARD_SCALE`` keeps its batched geometric-mean
        speedup >= 100x; on a trip the per-app delta against the committed
        ``BENCH_interp.json`` shows which app regressed.
-    6. Profile-guided tuning must not lose: auto-tune ``PGO_GUARD_APPS``
-       (``repro.tune``, scratch cache) and re-measure them tuned; the
-       tuned codegen speedup geomean must stay within ``PGO_GUARD_TOL``
-       of the same run's untuned codegen geomean over the same apps.
-       The chunk ladder contains the static default, so a tuned loss
-       beyond noise means the tuner picked a lie.
-    7. The same FIR measurement — taken with the always-on metrics
+    6. The same FIR measurement — taken with the always-on metrics
        registry *enabled* (the default) — stays within
        ``METRICS_OVERHEAD_TOL`` (1%) of the committed baseline: the
        run-granularity telemetry must be ~free, a tighter bound than the
@@ -361,7 +341,7 @@ def run_guard() -> None:
             f"{100 * tol:.0f}% below the committed baseline {baseline_fir:.1f}x"
         )
 
-    # Gate 7: the always-on metrics registry (enabled by default during
+    # Gate 6: the always-on metrics registry (enabled by default during
     # every measurement above) must cost <= REPRO_METRICS_GUARD_TOL (1%)
     # against the same committed FIR baseline — a tighter screw on the same
     # machine-normalized ratio the 2% tracing gate watches.
@@ -388,47 +368,6 @@ def run_guard() -> None:
     table = run_bench(periods_scale=GUARD_SCALE)
     geomean = table["geomean_speedup"]
 
-    # Gate 6: tuned codegen must not lose to the static defaults.
-    from repro.tune import clear_tuned_cache, tune_stream
-
-    if "REPRO_TUNED_CACHE" not in os.environ:
-        import tempfile
-
-        os.environ["REPRO_TUNED_CACHE"] = tempfile.mkdtemp(prefix="repro_tuned_")
-    clear_tuned_cache()
-    tuned_speedups = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EngineDowngradeWarning)
-        for app in PGO_GUARD_APPS:
-            tune_stream(ALL_APPS[app], engine="codegen")
-            app_periods = max(1, int(dict(APPS)[app] * GUARD_SCALE))
-            tuned = max(
-                (
-                    measure_throughput(
-                        ALL_APPS[app],
-                        app_periods,
-                        engine="codegen",
-                        tune=True,
-                    )
-                    for _ in range(3)
-                ),
-                key=lambda s: s.items_per_second,
-            )
-            tuned_speedups[app] = (
-                tuned.items_per_second / table[app]["scalar_items_per_sec"]
-            )
-    geomean_tuned = geometric_mean(list(tuned_speedups.values()))
-    geomean_untuned = geometric_mean(
-        [table[app]["speedup_codegen"] for app in PGO_GUARD_APPS]
-    )
-    pgo_tol = float(os.environ.get("REPRO_PGO_GUARD_TOL", PGO_GUARD_TOL))
-    pgo_floor = (1.0 - pgo_tol) * geomean_untuned
-    print(
-        f"guard: tuned codegen geomean = {geomean_tuned:.1f}x vs untuned "
-        f"{geomean_untuned:.1f}x over {len(PGO_GUARD_APPS)} apps "
-        f"(floor {pgo_floor:.1f}x, tol {100 * pgo_tol:.0f}%)"
-    )
-
     (REPO_ROOT / "BENCH_guard.json").write_text(
         json.dumps(
             {
@@ -449,12 +388,6 @@ def run_guard() -> None:
                 },
                 "geomean_speedup": geomean,
                 "geomean_speedup_codegen": table.get("geomean_speedup_codegen"),
-                "pgo": {
-                    "apps": tuned_speedups,
-                    "geomean_tuned_codegen": geomean_tuned,
-                    "geomean_untuned_codegen": geomean_untuned,
-                    "tol": pgo_tol,
-                },
                 "apps": {
                     n: {
                         "speedup": r["speedup"],
@@ -477,12 +410,6 @@ def run_guard() -> None:
             f"perf guard tripped: geomean {geomean:.1f}x < "
             f"{GUARD_GEOMEAN_FLOOR:.0f}x"
         )
-    assert geomean_tuned >= pgo_floor, (
-        f"pgo guard tripped: tuned codegen geomean {geomean_tuned:.1f}x is "
-        f"more than {100 * pgo_tol:.0f}% below the untuned geomean "
-        f"{geomean_untuned:.1f}x from the same run — the tuner picked a "
-        f"losing configuration"
-    )
 
 
 if __name__ == "__main__":

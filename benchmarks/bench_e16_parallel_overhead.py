@@ -5,8 +5,8 @@ worker command protocol (one control command per steady run), barrier-free
 double-buffered execution for DAG strategies at proved ring capacities, an
 adaptive blocked-wait policy (yield + tightly capped nap when workers
 outnumber CPUs), and amortized setup (struct-plan cache + warm-arena pool).
-This benchmark measures each of those against the pre-overhaul engine,
-which is still runnable bit-for-bit via ``REPRO_PARALLEL_LEGACY=1``.
+This benchmark measures the overhauled engine against the pre-overhaul
+numbers committed in ``BENCH_parallel.json``.
 
 Two kinds of measurement per app (cores=2, softpipe — the committed
 BENCH_parallel.json configuration):
@@ -19,14 +19,11 @@ BENCH_parallel.json configuration):
   the pre-overhaul engine's numbers, same host, same period budget, same
   best-of-2 policy.  The gate is ``improvement_vs_committed =
   baseline_overhead / new_overhead`` at >=1.5x geomean;
-* **Breakdown arms** — instrumented sessions (legacy and new) at shorter
-  period counts, reporting setup time (cold and warm), steady seconds, and
-  the parent's protocol counters (commands, barrier waits, barrier
-  seconds) for both the softpipe mapping and a DAG mapping (``task``),
-  where the barrier elimination shows up directly;
-* plus a rebalancing arm: run, read the ring-stall busy attribution, store
-  the measured work profile (:func:`repro.tune.rebalance_parallel`),
-  rebuild with ``tune=True``, and report the busy-skew change.
+* **Breakdown arms** — instrumented sessions at shorter period counts,
+  reporting setup time (cold and warm), steady seconds, and the parent's
+  protocol counters (commands, barrier waits, barrier seconds) for both
+  the softpipe mapping and a DAG mapping (``task``), where the barrier
+  elimination shows up directly.
 
 Run standalone (``--smoke`` cuts apps and periods for CI)::
 
@@ -55,8 +52,6 @@ STRATEGIES = ("softpipe", "task")
 
 #: (name, breakdown periods) — the instrumented arms; the headline timing
 #: lives in BENCH_parallel.json (benchmarks/bench_e11_parallel_runtime.py).
-#: Periods match E11's so the legacy arm pays its real per-batch costs —
-#: shorter runs fit inside a single legacy batch and hide the difference.
 APPS = (
     ("BitonicSort", 600),
     ("ChannelVocoder", 600),
@@ -72,64 +67,52 @@ APPS = (
 
 SMOKE_APPS = ("FMRadio", "FilterBank", "Vocoder")
 
-REBALANCE_APP = ("FilterBank", 90)
 
-
-def _session_arm(build, periods: int, strategy: str, legacy: bool):
+def _session_arm(build, periods: int, strategy: str):
     """One instrumented arm: setup (cold + warm), steady, protocol."""
     from repro.runtime import parallel as par_mod
 
-    env_key = "REPRO_PARALLEL_LEGACY"
-    old = os.environ.get(env_key)
-    os.environ[env_key] = "1" if legacy else ""
-    try:
-        par_mod.clear_struct_cache()
-        par_mod.drain_warm_arenas()
-        # Cold setup: construction + init (the fork happens on the first
-        # command, inside run_init).
-        app = build()
-        t0 = time.perf_counter()
-        interp = Interpreter(
-            app, check=False, engine="parallel", strategy=strategy, cores=CORES
-        )
-        if interp.parallel is None:
-            # SL304: this strategy has no parallelism to exploit here
-            # (e.g. ``task`` on a pure pipeline) — not an overhead datum.
-            interp.close()
-            return None
-        interp.run_init()
-        setup_cold = time.perf_counter() - t0
-        # Steady: timed after one warm batch, plus the same settle the
-        # harness gives every engine (workers drain post-command
-        # housekeeping off the clock).  Best-of-2, same rule for both
-        # arms — single shots measure the scheduler's mood on a
-        # timesliced host, not the engine.
-        interp.run_steady(max(1, periods // 10))
-        steady = float("inf")
-        for _ in range(2):
-            time.sleep(0.1)
-            t0 = time.perf_counter()
-            interp.run_steady(periods)
-            steady = min(steady, time.perf_counter() - t0)
-        protocol = interp.parallel.protocol_report()
+    par_mod.clear_struct_cache()
+    par_mod.drain_warm_arenas()
+    # Cold setup: construction + init (the fork happens on the first
+    # command, inside run_init).
+    app = build()
+    t0 = time.perf_counter()
+    interp = Interpreter(
+        app, check=False, engine="parallel", strategy=strategy, cores=CORES
+    )
+    if interp.parallel is None:
+        # SL304: this strategy has no parallelism to exploit here
+        # (e.g. ``task`` on a pure pipeline) — not an overhead datum.
         interp.close()
-        # Warm setup: a second session over the same plan right after a
-        # clean close — struct cache + parked arena in the new engine.
-        app2 = build()
+        return None
+    interp.run_init()
+    setup_cold = time.perf_counter() - t0
+    # Steady: timed after one warm batch, plus the same settle the
+    # harness gives every engine (workers drain post-command
+    # housekeeping off the clock).  Best-of-2 — single shots measure the
+    # scheduler's mood on a timesliced host, not the engine.
+    interp.run_steady(max(1, periods // 10))
+    steady = float("inf")
+    for _ in range(2):
+        time.sleep(0.1)
         t0 = time.perf_counter()
-        interp2 = Interpreter(
-            app2, check=False, engine="parallel", strategy=strategy, cores=CORES
-        )
-        interp2.run_init()
-        setup_warm = time.perf_counter() - t0
-        warm_protocol = interp2.parallel.protocol_report()
-        interp2.close()
-        par_mod.drain_warm_arenas()
-    finally:
-        if old is None:
-            os.environ.pop(env_key, None)
-        else:
-            os.environ[env_key] = old
+        interp.run_steady(periods)
+        steady = min(steady, time.perf_counter() - t0)
+    protocol = interp.parallel.protocol_report()
+    interp.close()
+    # Warm setup: a second session over the same plan right after a
+    # clean close — struct cache + parked arena.
+    app2 = build()
+    t0 = time.perf_counter()
+    interp2 = Interpreter(
+        app2, check=False, engine="parallel", strategy=strategy, cores=CORES
+    )
+    interp2.run_init()
+    setup_warm = time.perf_counter() - t0
+    warm_protocol = interp2.parallel.protocol_report()
+    interp2.close()
+    par_mod.drain_warm_arenas()
     return {
         "setup_cold_s": setup_cold,
         "setup_warm_s": setup_warm,
@@ -142,59 +125,6 @@ def _session_arm(build, periods: int, strategy: str, legacy: bool):
         "barrier_wait_s": protocol["barrier_wait_s"],
         "warm_arena_reused": warm_protocol["arena_reused"],
         "warm_struct_cache": warm_protocol["struct_cache"],
-    }
-
-
-def _rebalance_arm(name: str, periods: int):
-    """Busy-skew before/after one profile-driven partition re-cut."""
-    import tempfile
-
-    from repro.tune import busy_skew, rebalance_parallel
-
-    build = ALL_APPS[name]
-    env_key = "REPRO_TUNED_CACHE"
-    old = os.environ.get(env_key)
-    with tempfile.TemporaryDirectory(prefix="repro_e16_tuned") as tmp:
-        os.environ[env_key] = tmp
-        try:
-            interp = Interpreter(
-                build(),
-                check=False,
-                engine="parallel",
-                strategy="softpipe",
-                cores=CORES,
-            )
-            interp.run(periods)
-            report = rebalance_parallel(interp, threshold=1.1)
-            interp.close()
-            interp2 = Interpreter(
-                build(),
-                check=False,
-                engine="parallel",
-                strategy="softpipe",
-                cores=CORES,
-                tune=True,
-            )
-            interp2.run(periods)
-            skew_after = busy_skew(interp2.parallel.busy_report())
-            profiled = interp2.parallel.work_profile is not None
-            interp2.close()
-        finally:
-            if old is None:
-                os.environ.pop(env_key, None)
-            else:
-                os.environ[env_key] = old
-    return {
-        "app": name,
-        "periods": periods,
-        "skew_before": report.skew,
-        "triggered": report.triggered,
-        "stored": report.stored,
-        "profile_applied": profiled,
-        "skew_after": skew_after,
-        "skew_reduction": (
-            report.skew / skew_after if skew_after > 0 else 1.0
-        ),
     }
 
 
@@ -285,42 +215,19 @@ def run_bench(smoke: bool = False):
                 row["baseline_overhead"] = base
             if new_ovh is not None and base is not None:
                 row["improvement_vs_committed"] = base / new_ovh
-            # Breakdown arms: instrumented sessions, legacy vs new.
+            # Breakdown arms: instrumented sessions per strategy.
             for strategy in STRATEGIES:
-                legacy = _session_arm(
-                    build, breakdown_periods, strategy, legacy=True
+                arm = _session_arm(build, breakdown_periods, strategy)
+                row[strategy] = (
+                    arm if arm is not None else {"unavailable": "SL304 downgrade"}
                 )
-                current = _session_arm(
-                    build, breakdown_periods, strategy, legacy=False
-                )
-                if legacy is None or current is None:
-                    row[strategy] = {"unavailable": "SL304 downgrade"}
-                    continue
-                row[strategy] = {
-                    "legacy": legacy,
-                    "new": current,
-                    "steady_gain_vs_legacy": (
-                        legacy["steady_s_per_period"]
-                        / current["steady_s_per_period"]
-                    ),
-                }
             table["apps"][name] = row
-        table["rebalance"] = _rebalance_arm(
-            REBALANCE_APP[0], max(10, int(REBALANCE_APP[1] * scale))
-        )
     gains = [
         row["improvement_vs_committed"]
         for row in table["apps"].values()
         if "improvement_vs_committed" in row
     ]
     table["improvement_vs_committed_geomean"] = geometric_mean(gains)
-    table["improvement_legacy_geomean"] = geometric_mean(
-        [
-            row["softpipe"]["steady_gain_vs_legacy"]
-            for row in table["apps"].values()
-            if "steady_gain_vs_legacy" in row.get("softpipe", {})
-        ]
-    )
     return table
 
 
@@ -329,26 +236,21 @@ def render(table) -> str:
         "== E16: parallel-engine overhead — before vs after "
         f"(cores={table['cores']}, host has {table['host_cpus']} CPU(s)) ==",
         f"{'Benchmark':16s}{'new ovh':>9s}{'committed':>11s}{'vs base':>9s}"
-        f"{'vs legacy':>11s}{'task barriers':>15s}{'warm setup':>12s}",
+        f"{'task barriers':>15s}{'cold setup':>12s}{'warm setup':>12s}",
     ]
     for name, row in table["apps"].items():
         soft = row["softpipe"]
         task = row["task"]
         barriers = (
-            f"{task['legacy']['barrier_waits']}->{task['new']['barrier_waits']}"
-            if "unavailable" not in task
-            else "n/a"
+            f"{task['barrier_waits']}" if "unavailable" not in task else "n/a"
         )
-        warm = (
-            f"{soft['legacy']['setup_warm_s'] * 1e3:.0f}->"
-            f"{soft['new']['setup_warm_s'] * 1e3:.0f}ms"
+        cold, warm = (
+            (
+                f"{soft['setup_cold_s'] * 1e3:.0f}ms",
+                f"{soft['setup_warm_s'] * 1e3:.0f}ms",
+            )
             if "unavailable" not in soft
-            else "n/a"
-        )
-        gain = (
-            f"{soft['steady_gain_vs_legacy']:10.2f}x"
-            if "unavailable" not in soft
-            else f"{'n/a':>11s}"
+            else ("n/a", "n/a")
         )
         lines.append(
             f"{name:16s}"
@@ -363,22 +265,13 @@ def render(table) -> str:
                 if "improvement_vs_committed" in row
                 else f"{'n/a':>11s}{'n/a':>9s}"
             )
-            + gain
-            + f"{barriers:>15s}{warm:>12s}"
+            + f"{barriers:>15s}{cold:>12s}{warm:>12s}"
         )
-    reb = table["rebalance"]
     lines.append(
         f"geomean improvement: vs committed BENCH_parallel.json "
         f"{table['improvement_vs_committed_geomean']:.2f}x "
         f"(new: {table['sources']['new']}; baseline: "
-        f"{table['sources']['baseline']}); steady vs legacy "
-        f"(same host, same periods) {table['improvement_legacy_geomean']:.2f}x"
-    )
-    lines.append(
-        f"rebalance arm ({reb['app']}): busy skew "
-        f"{reb['skew_before']:.2f} -> {reb['skew_after']:.2f} "
-        f"({reb['skew_reduction']:.2f}x), profile stored={reb['stored']}, "
-        f"applied={reb['profile_applied']}"
+        f"{table['sources']['baseline']})"
     )
     return "\n".join(lines)
 
@@ -386,29 +279,27 @@ def render(table) -> str:
 def _check(table) -> None:
     for name, row in table["apps"].items():
         for strategy in STRATEGIES:
-            if "unavailable" in row[strategy]:
+            cell = row[strategy]
+            if "unavailable" in cell:
                 continue
-            for arm in ("legacy", "new"):
-                cell = row[strategy][arm]
-                assert cell["steady_s"] > 0, f"{name}/{strategy}/{arm}"
-                # Batched protocol invariant: one steady command per run.
-                assert (
-                    cell["commands"]["steady"] == cell["steady_runs"]
-                ), f"{name}/{strategy}/{arm}: protocol not batched"
+            assert cell["steady_s"] > 0, f"{name}/{strategy}"
+            # Batched protocol invariant: one steady command per run.
+            assert (
+                cell["commands"]["steady"] == cell["steady_runs"]
+            ), f"{name}/{strategy}: protocol not batched"
             # The overhaul must eliminate per-batch barriers for DAG
             # strategies: only start/finish barriers remain (2 per command).
-            new_task = row[strategy]["new"]
-            if strategy == "task" and new_task["discipline"] == "double_buffered":
-                commands = sum(new_task["commands"].values())
-                assert new_task["barrier_waits"] <= 2 * commands, (
+            if strategy == "task" and cell["discipline"] == "double_buffered":
+                commands = sum(cell["commands"].values())
+                assert cell["barrier_waits"] <= 2 * commands, (
                     f"{name}: double-buffered arm still paying "
-                    f"{new_task['barrier_waits']} barrier waits"
+                    f"{cell['barrier_waits']} barrier waits"
                 )
-        # The new engine reuses setup on the warm session.
+        # The engine reuses setup on the warm session.
         if "unavailable" not in row["softpipe"]:
-            soft_new = row["softpipe"]["new"]
-            assert soft_new["warm_struct_cache"] == "hit", name
-            assert soft_new["warm_arena_reused"] is True, name
+            soft = row["softpipe"]
+            assert soft["warm_struct_cache"] == "hit", name
+            assert soft["warm_arena_reused"] is True, name
 
 
 def test_e16_parallel_overhead(report):

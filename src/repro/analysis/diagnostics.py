@@ -42,7 +42,8 @@ class Severity(enum.IntEnum):
 
 
 #: code -> (default severity, short title).  The single registry every pass
-#: draws from; tests assert codes never change meaning.
+#: draws from; tests assert codes never change meaning.  A code whose
+#: mechanism is deleted is retired: its number is never reused.
 CODES: Dict[str, Tuple[Severity, str]] = {
     # -- rate contract (SL0xx) --------------------------------------------
     "SL001": (Severity.ERROR, "push-rate-mismatch"),
@@ -66,13 +67,11 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "SL303": (Severity.WARNING, "superbatch-degraded"),
     "SL304": (Severity.WARNING, "engine-parallel-fallback"),
     "SL305": (Severity.WARNING, "codegen-fallback"),
-    "SL306": (Severity.WARNING, "tuned-plan-discarded"),
     # -- whole-graph analysis (SL4xx) --------------------------------------
     "SL401": (Severity.WARNING, "shared-mutable-state"),
     "SL402": (Severity.WARNING, "unbounded-parallel-effects"),
     "SL403": (Severity.WARNING, "portal-crosses-partition"),
     "SL404": (Severity.INFO, "ring-capacity-proved"),
-    "SL405": (Severity.INFO, "fusion-region-certified"),
 }
 
 #: code -> one-line description, rendered by ``streamlint --codes``.  Keep
@@ -96,12 +95,10 @@ CODE_DESCRIPTIONS: Dict[str, str] = {
     "SL303": "superbatching degraded: a feedback core runs period-at-a-time",
     "SL304": "engine request downgraded from parallel to batched execution",
     "SL305": "whole-program codegen fell back to executor calls for some or all blocks",
-    "SL306": "cached tuned parameters discarded (plan/host fingerprint mismatch or corrupt entry)",
     "SL401": "two or more filter instances alias the same mutable object and at least one mutates it (a parallel race across forked workers)",
     "SL402": "work()'s effects cannot be bounded statically (dynamic writes or self escapes), so parallel race freedom cannot be proven",
     "SL403": "a teleport portal targets a receiver in a different worker partition than its sender",
     "SL404": "a cross-worker ring's minimal safe capacity was statically proved stall-free (graph-analysis fact)",
-    "SL405": "a splitjoin region is certified safe for cross-boundary fusion (graph-analysis fact)",
 }
 
 

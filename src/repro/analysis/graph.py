@@ -1,9 +1,9 @@
-"""Whole-graph static analysis: races, ring capacities, fusion regions.
+"""Whole-graph static analysis: races and ring capacities.
 
 PR 3's :mod:`repro.analysis` proves facts about *single* filters (purity,
 exact rates, vectorization safety).  This module lifts those facts to the
-flattened graph and produces three certified artifacts the execution
-engines consume:
+flattened graph and produces two certified artifacts the parallel
+engine consumes:
 
 **Parallel race/escape detection** (SL401-SL403).  The parallel engine
 forks workers, so each process gets copy-on-write copies of every filter.
@@ -29,15 +29,6 @@ never deadlock, because the earliest witness-order unit not yet completed
 always has both enough items (its producer is ahead of the witness) and
 enough space (its consumer is, too).  The peak is therefore a proved
 minimal safe ring capacity, replacing the fixed-capacity guess.
-
-**Certified fusion regions** (SL405).  :func:`certified_fusion_regions`
-finds splitjoins whose every branch is a chain of single-input
-single-output filters with *pure* effects and *exact* rates, with no
-initial items on any internal edge.  Executing such a region's nodes in
-the global steady order, once per period, is observationally identical to
-the scalar interpreter (same firings, same item routing, same
-floating-point order per firing) — so the codegen engine may fuse across
-the splitjoin boundary it previously treated as a hard block wall.
 """
 
 from __future__ import annotations
@@ -48,28 +39,17 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import analyze_filter
 from repro.analysis.diagnostics import Diagnostic, DiagnosticBag, suppressed_codes
-from repro.graph.composites import SplitJoin
-from repro.graph.flatgraph import (
-    FILTER,
-    JOINER,
-    SPLITTER,
-    FlatEdge,
-    FlatGraph,
-    FlatNode,
-)
-from repro.graph.splitjoin import COMBINE, DUPLICATE, ROUND_ROBIN
+from repro.graph.flatgraph import FILTER, FlatEdge, FlatGraph, FlatNode
 from repro.scheduling.steady import ProgramSchedule, restrict_schedule
 
 __all__ = [
     "SharedStateGroup",
     "PortalLink",
-    "FusionRegion",
     "RingProof",
     "GraphAnalysis",
     "GraphReport",
     "shared_state_groups",
     "portal_links",
-    "certified_fusion_regions",
     "analyze_flat_graph",
     "ring_capacity_proofs",
     "graph_report",
@@ -214,125 +194,6 @@ def portal_links(graph: FlatGraph) -> List[PortalLink]:
 
 
 # ---------------------------------------------------------------------------
-# Certified cross-splitjoin fusion regions
-# ---------------------------------------------------------------------------
-
-_SPLIT_FUSABLE = frozenset({DUPLICATE, ROUND_ROBIN})
-_JOIN_FUSABLE = frozenset({ROUND_ROBIN, COMBINE})
-
-
-@dataclass(frozen=True)
-class FusionRegion:
-    """A splitjoin certified safe for cross-boundary fusion.
-
-    ``members`` lists the region's flat nodes — splitter, branch filters,
-    joiner — and is the unit the codegen engine fuses: the whole region
-    runs once per steady period as a single closed loop.  Certification
-    (pure effects, exact rates, no initial items) guarantees that loop is
-    bit-exact against the scalar schedule: every firing consumes and
-    produces the same items in the same order, and a COMBINE joiner's
-    reducer sees the same arguments.
-    """
-
-    name: str
-    splitter: FlatNode
-    joiner: FlatNode
-    members: Tuple[FlatNode, ...]
-    branches: Tuple[Tuple[FlatNode, ...], ...]
-
-    @property
-    def filters(self) -> Tuple[FlatNode, ...]:
-        """Just the branch filter nodes, in branch order."""
-        return tuple(n for branch in self.branches for n in branch)
-
-    @property
-    def member_names(self) -> Tuple[str, ...]:
-        return tuple(n.name for n in self.members)
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "splitter": self.splitter.name,
-            "joiner": self.joiner.name,
-            "branches": len(self.branches),
-            "filters": [n.name for n in self.filters],
-        }
-
-
-def _branch_filter_certified(node: FlatNode) -> bool:
-    analysis = analyze_filter(node.filter)
-    effects, rates = analysis.effects, analysis.rates
-    if effects is None or not effects.pure:
-        return False
-    if rates is None or not rates.exact:
-        return False
-    return True
-
-
-def _region_at(splitter: FlatNode) -> Optional[FusionRegion]:
-    if splitter.flavor not in _SPLIT_FUSABLE:
-        return None
-    if not isinstance(splitter.obj, SplitJoin):
-        return None  # feedback-loop splitters never qualify
-    joiner: Optional[FlatNode] = None
-    branches: List[Tuple[FlatNode, ...]] = []
-    for edge in splitter.out_edges:
-        if edge.initial:
-            return None
-        chain: List[FlatNode] = []
-        cur = edge.dst
-        while cur.kind == FILTER:
-            if len(cur.in_edges) != 1 or len(cur.out_edges) != 1:
-                return None
-            if not _branch_filter_certified(cur):
-                return None
-            chain.append(cur)
-            out = cur.out_edges[0]
-            if out.initial:
-                return None
-            cur = out.dst
-        if cur.kind != JOINER:
-            return None  # nested splitjoin: not a flat region
-        if joiner is None:
-            joiner = cur
-        elif cur is not joiner:
-            return None
-        branches.append(tuple(chain))
-    if joiner is None or joiner.flavor not in _JOIN_FUSABLE:
-        return None
-    if joiner.obj is not splitter.obj:
-        return None
-    if len(joiner.in_edges) != len(splitter.out_edges):
-        return None  # a zero-weight branch bypasses the splitter
-    members = (splitter,) + tuple(n for b in branches for n in b) + (joiner,)
-    return FusionRegion(
-        name=splitter.obj.name,
-        splitter=splitter,
-        joiner=joiner,
-        members=members,
-        branches=tuple(branches),
-    )
-
-
-def certified_fusion_regions(graph: FlatGraph) -> List[FusionRegion]:
-    """Maximal splitjoin regions provably safe to fuse across.
-
-    Each region is *single-appearance by construction* once placed in a
-    superbatch plan: the steady schedule is one topological sweep, so each
-    member node appears exactly once, and the splitjoin's convexity means
-    no node outside the region reads a region-internal edge.
-    """
-    regions: List[FusionRegion] = []
-    for node in graph.nodes:
-        if node.kind != SPLITTER:
-            continue
-        region = _region_at(node)
-        if region is not None:
-            regions.append(region)
-    return regions
-
-
-# ---------------------------------------------------------------------------
 # Whole-graph analysis entry point (partition-independent facts)
 # ---------------------------------------------------------------------------
 
@@ -343,7 +204,6 @@ class GraphAnalysis:
 
     shared_state: List[SharedStateGroup]
     portals: List[PortalLink]
-    regions: List[FusionRegion]
     #: ``(filter name, reason)`` for filters whose effects are unbounded.
     unbounded: List[Tuple[str, str]]
     bag: DiagnosticBag
@@ -352,7 +212,6 @@ class GraphAnalysis:
         return {
             "shared_state": [g.payload() for g in self.shared_state],
             "portals": [p.payload() for p in self.portals],
-            "regions": [r.payload() for r in self.regions],
             "unbounded": [list(u) for u in self.unbounded],
         }
 
@@ -396,22 +255,9 @@ def analyze_flat_graph(graph: FlatGraph) -> GraphAnalysis:
             ).with_suppression(suppressed_codes(node.filter))
         )
 
-    portals = portal_links(graph)
-    regions = certified_fusion_regions(graph)
-    for region in regions:
-        bag.add(
-            Diagnostic.make(
-                "SL405",
-                f"splitjoin {region.name!r} certified for cross-boundary "
-                f"fusion ({len(region.branches)} branches, "
-                f"{len(region.filters)} filters, joiner {region.joiner.flavor})",
-                region.splitter.obj,
-            )
-        )
     return GraphAnalysis(
         shared_state=groups,
-        portals=portals,
-        regions=regions,
+        portals=portal_links(graph),
         unbounded=unbounded,
         bag=bag,
     )

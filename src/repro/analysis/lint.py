@@ -201,8 +201,7 @@ def run_lint(
             rings = g.get("rings", [])
             proved = sum(1 for r in rings if r.get("proved"))
             print(
-                f"{label}: graph: {len(g.get('regions', []))} certified "
-                f"region(s), {proved}/{len(rings)} ring(s) proved, "
+                f"{label}: graph: {proved}/{len(rings)} ring(s) proved, "
                 f"{len(g.get('shared_state', []))} shared-state group(s)",
                 file=out,
             )
@@ -295,9 +294,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--graph",
         action="store_true",
         help=(
-            "also run the whole-graph pass (races, ring-capacity proofs, "
-            "certified fusion regions) per stream; adds a 'graph' section "
-            "to --json output"
+            "also run the whole-graph pass (races, ring-capacity proofs) "
+            "per stream; adds a 'graph' section to --json output"
         ),
     )
     parser.add_argument(

@@ -298,53 +298,13 @@ def _strategy_model_assignment(strategy: str, base: ModelGraph, n_cores: int):
     return model, assignment
 
 
-def apply_work_profile(model: ModelGraph, profile: Dict[str, float]) -> int:
-    """Override actor work with measured per-period times (``repro.tune``).
-
-    ``profile`` maps flat-node names to measured seconds of self-time per
-    steady period.  Measured values are rescaled so the profiled actors'
-    total equals their static total: the partitioners then balance on
-    *measured ratios* while the absolute magnitude stays commensurate with
-    the costs the transforms add in cycle units (fission sync routers).
-    Actors the profile does not cover keep their static estimate.  Returns
-    how many actors were reweighted.
-    """
-    measured = {
-        actor: profile[actor.name]
-        for actor in model.actors
-        if profile.get(actor.name, 0.0) > 0.0
-    }
-    if not measured:
-        return 0
-    static_total = sum(actor.work for actor in measured)
-    measured_total = sum(measured.values())
-    if static_total <= 0.0 or measured_total <= 0.0:
-        return 0
-    scale = static_total / measured_total
-    for actor, seconds in measured.items():
-        actor.work = seconds * scale
-    return len(measured)
-
-
-def partition_nodes(
-    stream,
-    graph,
-    reps,
-    strategy: str,
-    n_cores: int,
-    work_profile: Optional[Dict[str, float]] = None,
-):
+def partition_nodes(stream, graph, reps, strategy: str, n_cores: int):
     """Project a mapping strategy onto the live flat graph.
 
     Returns ``{FlatNode: core}`` over the *compute* nodes (filters with both
     rates nonzero, splitters, joiners).  I/O endpoints — sources and sinks —
     are left out: the parallel runtime keeps them on the parent process,
     mirroring the paper's off-chip I/O convention (``compute_actors``).
-
-    ``work_profile`` (measured seconds per period, from
-    :mod:`repro.tune`) replaces the static per-actor work estimates via
-    :func:`apply_work_profile`, so partitions balance on recorded rather
-    than declared work.
 
     Three runtime legality fixups are applied to the model assignment:
 
@@ -366,8 +326,6 @@ def partition_nodes(
             f"{tuple(STRATEGIES)}"
         )
     base = ModelGraph.from_flatgraph(graph, reps)
-    if work_profile:
-        apply_work_profile(base, work_profile)
     io_nodes = {a.origin for a in base.actors if a.io}
     part: Dict[FlatNode, int] = {}
     if strategy == "task":

@@ -107,9 +107,9 @@ def _attribute_stalls(
 def report_payload(payload: Dict[str, Any], top: Optional[int] = None) -> Dict[str, Any]:
     """The report as a JSON-serializable document (``report --json``).
 
-    Same aggregation as :func:`render_report`, but machine-readable so the
-    auto-tuner (:mod:`repro.tune`) and external dashboards can consume a
-    trace without re-parsing the rendered table.
+    Same aggregation as :func:`render_report`, but machine-readable so
+    external dashboards can consume a trace without re-parsing the
+    rendered table.
     """
     summary = trace_summary(payload)
     meta = _meta(payload)

@@ -49,13 +49,12 @@ from repro.runtime.codegen_emit import (
     classify_core_edges,
     emit_module,
     layout_blocks,
-    plan_fingerprint,
+    stream_fingerprint,
 )
 from repro.runtime.plan import (
     CoreLoopRunner,
     ExecutionPlan,
     _FusionTape,
-    _plan_signature,
 )
 from repro.runtime.vectorize import VEC_MATH, BatchExecutor, run_lifted, run_loop
 
@@ -313,35 +312,6 @@ def bind_module(plan, ns: dict, meta: dict) -> Tuple[List[str], Optional[str]]:
                 # Every stage's channel attributes are rebound by name.
                 ns[f"f{node_index[st.node]}"] = st.node.filter
                 bind_phase(st, sm)
-        elif kind == "region":
-            region, runner = obj
-            rk = sum(1 for mb in mblocks[:bi] if mb.get("kind") == "region")
-            if m.get("kind") != "region" or m.get("nodes") != sorted(
-                node_index[n] for n in region.members
-            ):
-                raise BindMismatch("region block mismatch")
-            region_name = f"region:{region.name}"
-            if m.get("mode") == "fallback":
-                ns[f"_rg{rk}_run"] = runner.run
-                fallbacks.append(region_name)
-            else:
-                ns[f"_rg{rk}"] = _CoreState(runner, edge_index)
-                for i in m.get("filters", ()):
-                    ns[f"f{i}"] = nodes[i].filter
-                for si, names in m.get("globals", {}).items():
-                    i = int(si)
-                    g = type(nodes[i].filter).work.__globals__
-                    for name in names:
-                        if name not in g:
-                            raise BindMismatch(f"missing kernel global {name!r}")
-                        ns[f"_g{i}_{name}"] = g[name]
-                for i in m.get("reducers", ()):
-                    reducer = getattr(
-                        getattr(nodes[i].obj, "joiner", None), "reducer", None
-                    )
-                    if reducer is None:
-                        raise BindMismatch("cached module expects a reducer")
-                    ns[f"_rd{i}"] = reducer
         else:  # core
             core: CoreLoopRunner = obj
             if m.get("kind") != "core" or m.get("nodes") != sorted(
@@ -415,12 +385,9 @@ class CodegenPlan(ExecutionPlan):
     def _materialize(self) -> None:
         self._materialized = True
         interp = self.interp
-        from repro import __version__
-
-        signature = _plan_signature(
+        fingerprint = stream_fingerprint(
             self.graph, interp.program, self._senders, self._receivers
         )
-        fingerprint = plan_fingerprint(self, signature, __version__)
         self.fingerprint = fingerprint
         try:
             source, outcome = self._load_or_emit(fingerprint)

@@ -42,7 +42,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.flatgraph import FILTER, JOINER, SPLITTER
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
-from repro.runtime.plan import CompiledPhase, CoreLoopRunner, FusedPhase
+from repro.runtime.plan import (
+    CompiledPhase,
+    CoreLoopRunner,
+    FusedPhase,
+    _plan_signature,
+)
 from repro.runtime.vectorize import BatchExecutor
 
 #: Bump on any change to the emitted module's shape or binding contract;
@@ -66,37 +71,10 @@ def layout_blocks(plan) -> List[Tuple[str, object]]:
     """
     blocks: List[Tuple[str, object]] = []
     if plan.superbatch:
-        # Certified cross-splitjoin fusion regions (repro.analysis.graph):
-        # all member phases collapse into one ("region", (region, runner))
-        # block at the *first* member's position — safe because the region
-        # is convex (no outside node reads a region-internal edge) and the
-        # joiner's output only appears earlier than before.  A SISO fused
-        # chain can never straddle a region boundary (splitters/joiners
-        # break chains), but guard anyway: a region whose members mix into
-        # a chain with outsiders is skipped.
-        regions = list(getattr(plan, "certified_regions", ()) or ())
-        member_of: Dict[object, int] = {}
-        for ri, (region, _runner) in enumerate(regions):
-            for n in region.members:
-                member_of[n] = ri
-        usable = [True] * len(regions)
-        for ph in plan.steady_phases:
-            if isinstance(ph, FusedPhase):
-                inside = {member_of.get(st.node) for st in ph.stages}
-                if len(inside) > 1:
-                    for ri in inside:
-                        if ri is not None:
-                            usable[ri] = False
-        placed: set = set()
-        for ph in plan.steady_phases:
-            first = ph.stages[0].node if isinstance(ph, FusedPhase) else ph.node
-            ri = member_of.get(first)
-            if ri is not None and usable[ri]:
-                if ri not in placed:
-                    placed.add(ri)
-                    blocks.append(("region", regions[ri]))
-                continue
-            blocks.append(("fused", ph) if isinstance(ph, FusedPhase) else ("phase", ph))
+        blocks.extend(
+            ("fused", ph) if isinstance(ph, FusedPhase) else ("phase", ph)
+            for ph in plan.steady_phases
+        )
     elif plan.segments is not None:
         prefix, core, suffix = plan.segments
         blocks.extend(("phase", ph) for ph in prefix)
@@ -170,7 +148,7 @@ def _code_fingerprint(fn) -> str:
     ).hexdigest()[:16]
 
 
-def plan_fingerprint(plan, signature: tuple, version: str) -> str:
+def plan_fingerprint(graph, signature: tuple, version: str) -> str:
     """Cache key: structural signature + per-class work code + emitter rev.
 
     The structural signature pins the plan *shape*; the per-class code
@@ -178,12 +156,7 @@ def plan_fingerprint(plan, signature: tuple, version: str) -> str:
     class name, same rates) invalidates cached modules.
     """
     parts: List[str] = [repr(signature), version, str(EMITTER_VERSION)]
-    # Region layout is part of the module shape: toggling
-    # REPRO_CODEGEN_REGIONS (or a change in certification) must miss the
-    # cache rather than rebind a module with a different block sequence.
-    for region, _runner in getattr(plan, "certified_regions", ()) or ():
-        parts.append("region=" + "+".join(region.member_names))
-    for node in plan.graph.nodes:
+    for node in graph.nodes:
         if node.kind != FILTER:
             if node.kind == JOINER and node.flavor == COMBINE:
                 reducer = getattr(getattr(node.obj, "joiner", None), "reducer", None)
@@ -198,6 +171,18 @@ def plan_fingerprint(plan, signature: tuple, version: str) -> str:
         if cls.supports_work_batch:
             parts.append(_code_fingerprint(node.filter.work_batch))
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:32]
+
+
+def stream_fingerprint(graph, program, senders, receivers) -> str:
+    """:func:`plan_fingerprint` for a (graph, schedule, messaging) triple.
+
+    Keys both the codegen module cache and the parallel engine's
+    structure cache, so the two invalidate on exactly the same events.
+    """
+    from repro import __version__
+
+    signature = _plan_signature(graph, program, senders, receivers)
+    return plan_fingerprint(graph, signature, __version__)
 
 
 # -- kernel splicing ----------------------------------------------------------
@@ -556,12 +541,9 @@ def classify_core_edges(core: CoreLoopRunner):
 class CoreEmitter:
     """Emits the inlined closed loop for one cyclic schedule core."""
 
-    def __init__(
-        self, plan, core: CoreLoopRunner, node_index, edge_index, var: str = "_core"
-    ) -> None:
+    def __init__(self, plan, core: CoreLoopRunner, node_index, edge_index) -> None:
         self.plan = plan
         self.core = core
-        self.var = var
         self.node_index = node_index
         self.edge_index = edge_index
         self.globals_map: Dict[int, List[str]] = {}
@@ -601,10 +583,10 @@ class CoreEmitter:
                 )
         if not period:
             raise Unsupported("empty cyclic core")
-        lines = [f"{self.var}.begin()"]
+        lines = ["_core.begin()"]
         for edge in self.edges:
             lines.append(
-                f"{self._tape(edge)} = {self.var}.items({self.edge_index[edge]})"
+                f"{self._tape(edge)} = _core.items({self.edge_index[edge]})"
             )
         for edge in self.edges:
             if edge in self.popped:
@@ -619,9 +601,9 @@ class CoreEmitter:
         for edge in self.edges:
             if edge in self.popped:
                 lines.append(
-                    f"{self.var}.set_cursor({self.edge_index[edge]}, {self._cur(edge)})"
+                    f"_core.set_cursor({self.edge_index[edge]}, {self._cur(edge)})"
                 )
-        lines.append(f"{self.var}.end(scale)")
+        lines.append("_core.end(scale)")
         return lines
 
     # -- per-node statement lowering -----------------------------------------
@@ -811,43 +793,6 @@ def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
                     "name": names,
                 }
             )
-        elif kind == "region":
-            region, runner = obj
-            rk = sum(1 for b in meta_blocks if b.get("kind") == "region")
-            var = f"_rg{rk}"
-            rnodes = sorted(node_index[n] for n in region.members)
-            body.append(
-                f"# fusion region {region.name}: "
-                f"{'+'.join(n.name for n in region.members)}"
-            )
-            try:
-                emitter = CoreEmitter(plan, runner, node_index, edge_index, var=var)
-                lines = emitter.emit()
-            except Unsupported as exc:
-                body.append(f"# region fallback ({exc})")
-                body.append(f"{var}_run(scale)")
-                meta_blocks.append(
-                    {
-                        "kind": "region",
-                        "mode": "fallback",
-                        "nodes": rnodes,
-                        "name": region.name,
-                        "reason": str(exc),
-                    }
-                )
-            else:
-                body.extend(lines)
-                meta_blocks.append(
-                    {
-                        "kind": "region",
-                        "mode": "inline",
-                        "nodes": rnodes,
-                        "name": region.name,
-                        "filters": emitter.filter_idx,
-                        "globals": {str(k): v for k, v in emitter.globals_map.items()},
-                        "reducers": emitter.reducer_idx,
-                    }
-                )
         else:  # core
             core: CoreLoopRunner = obj
             core_nodes = sorted(node_index[n] for n in core.nodes)

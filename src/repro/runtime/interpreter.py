@@ -112,14 +112,6 @@ class Interpreter:
             the default honestly degrades to the batched engine with an
             ``SL304`` diagnostic instead of forking workers that would
             serialize on one core (pass ``cores=`` explicitly to force it).
-        tune: profile-guided optimization (:mod:`repro.tune`).  ``None`` /
-            ``False`` / ``"off"`` (default) uses the static heuristics;
-            ``True`` looks up the tuned-plan cache for this (plan, host)
-            fingerprint and applies a hit (a stale entry — plan or host
-            fingerprint mismatch — is discarded with an ``SL306``
-            diagnostic); ``"force"`` measures fresh tuned parameters now
-            (chunk ladder + calibration on clones of the stream, the
-            original's state untouched), stores them, and applies them.
         trace: observability (:mod:`repro.obs`).  ``None`` (default) keeps
             the zero-cost null tracer; ``True`` records into a fresh
             :class:`~repro.obs.MemoryTracer` (inspect ``interp.tracer``);
@@ -146,7 +138,6 @@ class Interpreter:
         strict: bool = False,
         strategy: str = "softpipe",
         cores: Optional[int] = None,
-        tune: Any = None,
         trace: Any = None,
     ) -> None:
         if engine not in ENGINES:
@@ -156,7 +147,6 @@ class Interpreter:
         self.tracer = self._resolve_tracer(trace)
         self.strict = bool(strict)
         self.strategy = strategy
-        self.tune = self._normalize_tune(tune)
         self._cores_explicit = cores is not None
         if cores is None:
             import os
@@ -182,25 +172,9 @@ class Interpreter:
         self.parallel: Optional[Any] = None
         #: Structured engine downgrades (analysis Diagnostics, SL302/SL303).
         self.downgrades: List[Any] = []
-        #: Tuned parameters in effect (:class:`repro.tune.TunedParams`),
-        #: or None when tuning is off / missed the cache.
-        self.tuned: Optional[Any] = None
-        self._tuned_info: Dict[str, Any] = {"mode": self.tune, "outcome": "off"}
         self._setup()
 
     # -- setup ---------------------------------------------------------------
-
-    @staticmethod
-    def _normalize_tune(tune: Any) -> str:
-        if tune is None or tune is False or tune == "off":
-            return "off"
-        if tune is True or tune == "on":
-            return "on"
-        if tune == "force":
-            return "force"
-        raise StreamItError(
-            f'tune must be True, False, "off", or "force"; got {tune!r}'
-        )
 
     def _resolve_tracer(self, trace: Any):
         from repro.obs.tracer import NULL_TRACER, MemoryTracer, Tracer
@@ -229,8 +203,6 @@ class Interpreter:
         portals = self._find_portals()
         self._portals = portals
         self.has_messaging = bool(portals)
-        if self.tune != "off":
-            self._resolve_tuning()
         engine = self.engine
         if engine == "parallel":
             from repro.runtime.parallel import ParallelSession, ParallelUnsafe
@@ -250,15 +222,8 @@ class Interpreter:
                 )
                 engine = "batched"
             else:
-                work_profile = (
-                    self.tuned.work
-                    if self.tuned is not None and self.tuned.work
-                    else None
-                )
                 try:
-                    self.parallel = ParallelSession(
-                        self, self.strategy, self.cores, work_profile=work_profile
-                    )
+                    self.parallel = ParallelSession(self, self.strategy, self.cores)
                 except ParallelUnsafe as exc:
                     self._engine_downgrade(
                         f"parallel execution unavailable: {exc}; falling back "
@@ -320,7 +285,6 @@ class Interpreter:
                         "cyclic core runs period-at-a-time)",
                         code="SL303",
                     )
-        self._apply_tuning()
         # Rate-derived items per steady period (static rates make this
         # exact): the per-run volume metric without counting anything at
         # run time.
@@ -336,91 +300,6 @@ class Interpreter:
                 requested=self.engine,
                 **({"strategy": self.strategy} if used == "parallel" else {}),
             )
-
-    # -- profile-guided tuning ------------------------------------------------
-
-    def _resolve_tuning(self) -> None:
-        """Resolve tuned parameters before any engine is constructed.
-
-        Runs early in ``_setup`` so the parallel branch can hand the
-        measured work profile to the partitioner; chunk/presize application
-        waits until the plan exists (:meth:`_apply_tuning`).
-        """
-        from repro.runtime.plan import ExecutionPlan as _Plan
-        from repro.tune import load_tuned, stream_fingerprint
-
-        senders, receivers = _Plan._messaging_endpoints(self)
-        fingerprint = stream_fingerprint(
-            self.graph, self.program, senders, receivers
-        )
-        self._tuned_info["fingerprint"] = fingerprint
-        if self.tune == "force":
-            from repro.tune import tune_stream
-
-            result = tune_stream(self.stream, engine=self.engine, store=True)
-            self.tuned = result.params
-            self._tuned_info.update(
-                outcome="forced",
-                default_chunk=result.default_chunk,
-                best_chunk=result.best_chunk,
-                gain=result.gain,
-            )
-            return
-        outcome, params, reason, _meta = load_tuned(fingerprint)
-        self._tuned_info["outcome"] = outcome
-        if outcome == "hit":
-            self.tuned = params
-        elif outcome == "stale":
-            self._tuned_info["reason"] = reason
-            self._tuning_discard(reason)
-
-    def _tuning_discard(self, reason: str) -> None:
-        """``SL306``: a tuned-plan entry exists but cannot be trusted here.
-
-        Unlike an engine downgrade this never raises under ``strict``:
-        discarding stale parameters and running the static defaults *is*
-        the requested behaviour — the diagnostic only makes the discard
-        visible instead of silently applying another machine's numbers.
-        """
-        message = (
-            f"discarding cached tuned parameters: {reason}; running with "
-            "static defaults (re-tune with tune='force' or python -m "
-            "repro.tune)"
-        )
-        if METRICS.enabled:
-            _M_DOWNGRADES.inc(code="SL306")
-            FLIGHT.record("engine_downgrade", code="SL306", reason=reason[:160])
-        diagnostic = None
-        try:
-            from repro.analysis import Diagnostic
-
-            diagnostic = Diagnostic.make("SL306", message, self.stream)
-            self.downgrades.append(diagnostic)
-        except Exception:  # pragma: no cover - analysis layer unavailable
-            pass
-        warning = EngineDowngradeWarning(f"[SL306] {message}")
-        warning.diagnostic = diagnostic
-        warnings.warn(warning, stacklevel=5)
-
-    def _apply_tuning(self) -> None:
-        """Apply resolved tuned parameters to the constructed engine."""
-        params = self.tuned
-        if params is None:
-            return
-        applied: Dict[str, Any] = {}
-        if (
-            self.plan is not None
-            and params.chunk_periods
-            and not self.has_messaging
-        ):
-            self.plan.chunk_periods = max(1, int(params.chunk_periods))
-            applied["chunk_periods"] = self.plan.chunk_periods
-            if params.reserve_items:
-                self.plan.presize(params.reserve_items)
-                applied["reserved_edges"] = len(params.reserve_items)
-        if self.parallel is not None and params.work:
-            applied["work_profile_nodes"] = len(params.work)
-        self._tuned_info["applied"] = applied
 
     def _engine_downgrade(self, reason: str, code: str = "SL302") -> None:
         if METRICS.enabled:
@@ -483,22 +362,12 @@ class Interpreter:
         graph_analysis = self._graph_analysis_report()
         if graph_analysis is not None:
             report["graph_analysis"] = graph_analysis
-        if self.tune != "off":
-            from repro.tune import tuned_cache_summary
-
-            report["tuned"] = {
-                **self._tuned_info,
-                "cache": tuned_cache_summary(),
-            }
-        else:
-            report["tuned"] = {"mode": "off"}
         return report
 
     def _graph_analysis_report(self) -> Optional[Dict[str, Any]]:
         """Whole-graph analysis facts behind this session's execution.
 
-        Parallel sessions contribute their per-ring capacity proofs;
-        codegen plans contribute the certified fusion regions they fused.
+        Parallel sessions contribute their per-ring capacity proofs.
         Shared-state race groups are reported for every engine.  ``None``
         for plain scalar/batched runs with nothing to report.
         """
@@ -513,7 +382,6 @@ class Interpreter:
         report: Dict[str, Any] = {
             "shared_state": [g.payload() for g in analysis.shared_state],
             "unbounded": [list(u) for u in analysis.unbounded],
-            "regions_certified": [r.payload() for r in analysis.regions],
         }
         if self.parallel is not None:
             proofs = getattr(self.parallel, "ring_proofs", {})
@@ -525,16 +393,10 @@ class Interpreter:
             report["rings_proved"] = sum(
                 1 for p in proofs.values() if p.proved
             )
-        if self.plan is not None and getattr(self.plan, "codegen_active", False):
-            regions = getattr(self.plan, "_certified_regions", None)
-            if regions is not None:
-                report["regions_fused"] = [r.payload() for r, _run in regions]
         if (
             self.parallel is None
-            and "regions_fused" not in report
             and not report["shared_state"]
             and not report["unbounded"]
-            and not report["regions_certified"]
         ):
             return None
         return report

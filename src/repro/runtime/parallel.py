@@ -28,9 +28,8 @@ produced by the :mod:`repro.mapping.strategies` pipeline on real OS cores:
   (SL404): the allocated capacity holds the proved single-batch peak plus a
   full second batch generation, so producers run ahead into buffer
   generation ``g+1`` while consumers drain generation ``g`` — no per-batch
-  barrier at all.  Only when a capacity proof is unavailable (or
-  ``REPRO_PARALLEL_LEGACY=1`` forces it) do they fall back to the legacy
-  **dag** discipline with its barrier after every batch;
+  barrier at all.  Only when a capacity proof is unavailable do they fall
+  back to the **dag** discipline with its barrier after every batch;
 * workers obey a *batched* command protocol: one steady-run **program**
   (period count + chunk schedule, written once into the arena header) per
   ``run_steady()`` call, so workers free-run through the whole request with
@@ -72,9 +71,9 @@ from repro.obs.metrics import METRICS
 from repro.obs.recorder import FLIGHT, format_flight_tail
 from repro.obs.watchdog import StallWatchdog, watchdog_enabled
 from repro.runtime.array_channel import ArrayChannel
+from repro.runtime.codegen_emit import stream_fingerprint
 from repro.runtime.plan import make_node_executor
 from repro.runtime.ring import (
-    _MAX_SLEEP,
     _SPIN_ITERS,
     RingAbort,
     RingArena,
@@ -110,13 +109,9 @@ _CMD_INIT, _CMD_STEADY, _CMD_SHUTDOWN = 1, 2, 3
 _BATCH_TARGET_ITEMS = 1 << 17
 #: Upper bound on periods per batch.
 _BATCH_MAX_PERIODS = 4096
-#: Pre-overhaul batch bounds, kept for REPRO_PARALLEL_LEGACY sessions so
-#: the before/after comparison measures the engine it claims to.
-_LEGACY_BATCH_TARGET_ITEMS = 1 << 14
-_LEGACY_BATCH_MAX_PERIODS = 512
 #: Backoff-nap ceiling for session rings: a blocked worker overshoots its
-#: peer's finish by at most this much (legacy rings keep the ring module's
-#: 1 ms default, which wasted a visible slice of every batch).  On
+#: peer's finish by at most this much (the ring module's 1 ms default
+#: wasted a visible slice of every batch).  On
 #: oversubscribed hosts each wake-up also *preempts* the busy peer, so the
 #: ceiling trades tail latency against stolen quanta — 400 us measured
 #: best across the app suite on a single-CPU host.
@@ -130,13 +125,6 @@ _DAG_STRATEGIES = frozenset({"task", "fine_grained", "data"})
 
 #: Per-command cap on one worker's locally-buffered trace spans.
 _TRACE_BUF_CAP = 200_000
-
-
-def _legacy_mode() -> bool:
-    """``REPRO_PARALLEL_LEGACY=1`` reverts to the pre-overhaul behaviour:
-    per-batch DAG barriers, no structural plan cache, no warm-arena pool.
-    Exists so benchmarks can measure the overhaul on the same host."""
-    return os.environ.get("REPRO_PARALLEL_LEGACY", "") == "1"
 
 
 def _stall_deadline() -> float:
@@ -219,19 +207,9 @@ def clear_struct_cache() -> None:
     struct_cache_stats["misses"] = 0
 
 
-def _struct_cache_key(interp, strategy: str, cores: int, work_profile) -> Optional[Tuple]:
-    try:
-        from repro.tune import stream_fingerprint
-
-        fingerprint = stream_fingerprint(interp.graph, interp.program, (), ())
-    except Exception:  # pragma: no cover - fingerprint layer unavailable
-        return None
-    profile_key = (
-        tuple(sorted((k, round(v, 9)) for k, v in work_profile.items()))
-        if work_profile
-        else ()
-    )
-    return (fingerprint, strategy, int(cores), profile_key)
+def _struct_cache_key(interp, strategy: str, cores: int) -> Tuple:
+    fingerprint = stream_fingerprint(interp.graph, interp.program, (), ())
+    return (fingerprint, strategy, int(cores))
 
 
 def _release_arena(arena: RingArena, rings: List[RingChannel]) -> None:
@@ -291,14 +269,10 @@ class ParallelSession:
     is always after ``init()`` hooks have run.
     """
 
-    def __init__(self, interp, strategy: str, cores: int, work_profile=None) -> None:
+    def __init__(self, interp, strategy: str, cores: int) -> None:
         self.interp = interp
         self.strategy = strategy
         self.cores = int(cores)
-        #: Measured per-period work (repro.tune) that reweighted this
-        #: partition, or None when the static estimates were used.
-        self.work_profile = dict(work_profile) if work_profile else None
-        self.legacy = _legacy_mode()
         #: Control-plane accounting: every fork, command, and barrier wait
         #: the parent issues.  ``steady_commands / steady_runs == 1`` is the
         #: batched-protocol invariant CI asserts.
@@ -312,7 +286,7 @@ class ParallelSession:
             "struct_cache": "off",
         }
         #: Wall-clock seconds the parent spent inside steady commands
-        #: (busy/stall attribution denominators for rebalancing).
+        #: (the busy/stall attribution denominator).
         self.steady_seconds = 0.0
         graph, program = interp.graph, interp.program
 
@@ -333,16 +307,8 @@ class ParallelSession:
         # depend only on the graph's structure, so repeated sessions over
         # the same plan fingerprint reuse them instead of re-running the
         # model transforms and the proof replay.
-        self._struct_key = (
-            None if self.legacy else _struct_cache_key(
-                interp, strategy, self.cores, self.work_profile
-            )
-        )
-        cached = (
-            _STRUCT_CACHE.get(self._struct_key)
-            if self._struct_key is not None
-            else None
-        )
+        self._struct_key = _struct_cache_key(interp, strategy, self.cores)
+        cached = _STRUCT_CACHE.get(self._struct_key)
         by_name = {n.name: n for n in graph.nodes}
         if cached is not None:
             struct_cache_stats["hits"] += 1
@@ -353,19 +319,13 @@ class ParallelSession:
                 if name in by_name
             }
         else:
-            if self._struct_key is not None:
-                struct_cache_stats["misses"] += 1
-                self.protocol["struct_cache"] = "miss"
+            struct_cache_stats["misses"] += 1
+            self.protocol["struct_cache"] = "miss"
             from repro.mapping.strategies import partition_nodes
 
             try:
                 part = partition_nodes(
-                    interp.stream,
-                    graph,
-                    program.reps,
-                    strategy,
-                    self.cores,
-                    work_profile=self.work_profile,
+                    interp.stream, graph, program.reps, strategy, self.cores
                 )
             except Exception as exc:
                 raise ParallelUnsafe(
@@ -390,13 +350,8 @@ class ParallelSession:
             raise ParallelUnsafe("partition has no cross-worker traffic")
         items_per_period = {e: program.reps[e.src] * e.push_rate for e in cross}
         heaviest = max(items_per_period.values())
-        batch_max, batch_target = (
-            (_LEGACY_BATCH_MAX_PERIODS, _LEGACY_BATCH_TARGET_ITEMS)
-            if self.legacy
-            else (_BATCH_MAX_PERIODS, _BATCH_TARGET_ITEMS)
-        )
         self.batch_periods = max(
-            1, min(batch_max, batch_target // max(1, heaviest))
+            1, min(_BATCH_MAX_PERIODS, _BATCH_TARGET_ITEMS // max(1, heaviest))
         )
 
         self.specs: List[WorkerSpec] = []
@@ -435,7 +390,7 @@ class ParallelSession:
         # runs at the proved minimum (still stall-free: the witness replay
         # certifies deadlock freedom at the peak, barrier or no barrier).
         # If the replay cannot complete, the proof object itself carries the
-        # legacy guess (init peak + two batches + slop) with proved=False.
+        # fallback guess (init peak + two batches + slop) with proved=False.
         self.ring_proofs: Dict[object, object] = {}
         edge_key = lambda e: (e.src.name, e.dst.name, e.src_port, e.dst_port)
         if cached is not None and "proofs" in cached:
@@ -462,15 +417,13 @@ class ParallelSession:
         # Discipline.  Pipelined strategies always free-run.  DAG strategies
         # free-run *double-buffered* when every cross edge has a proved
         # capacity (the SL404 witness replay models no barriers, so it
-        # certifies barrier-free execution directly); an unproved edge — or
-        # the legacy env knob — keeps the per-batch barrier for safety.
+        # certifies barrier-free execution directly); an unproved edge keeps
+        # the per-batch barrier for safety.
         all_proved = bool(self.ring_proofs) and all(
             e in self.ring_proofs and self.ring_proofs[e].proved for e in cross
         )
         if strategy in _DAG_STRATEGIES:
-            self.discipline = (
-                "double_buffered" if all_proved and not self.legacy else "dag"
-            )
+            self.discipline = "double_buffered" if all_proved else "dag"
         else:
             self.discipline = "pipelined"
         try:
@@ -491,7 +444,7 @@ class ParallelSession:
                     + 64
                 )
             capacities.append(cap)
-        if self._struct_key is not None and cached is None:
+        if cached is None:
             import dataclasses
 
             entry: Dict[str, object] = {
@@ -506,19 +459,10 @@ class ParallelSession:
                 _STRUCT_CACHE.pop(next(iter(_STRUCT_CACHE)))
             _STRUCT_CACHE[self._struct_key] = entry
         # Blocked-wait policy: with more workers than CPUs, spinning steals
-        # the quantum the peer needs; yield immediately instead.  Legacy
-        # mode keeps the old unconditional spin so before/after benchmarks
-        # measure the real pre-overhaul engine.
-        if self.legacy:
-            self._spin = _SPIN_ITERS
-        else:
-            self._spin = 0 if self.n_workers > (os.cpu_count() or 1) else _SPIN_ITERS
+        # the quantum the peer needs; yield immediately instead.
+        self._spin = 0 if self.n_workers > (os.cpu_count() or 1) else _SPIN_ITERS
         self._ring_timeout = _stall_deadline()
-        segment = (
-            None
-            if self.legacy
-            else _adopt_warm_arena(RingArena.required_size(capacities))
-        )
+        segment = _adopt_warm_arena(RingArena.required_size(capacities))
         self._arena = RingArena(capacities, segment=segment)
         self.protocol["arena_reused"] = self._arena.reused
         self.channels: Dict[object, object] = {}
@@ -529,7 +473,7 @@ class ParallelSession:
                 initial=edge.initial,
                 timeout=self._ring_timeout,
                 spin=self._spin,
-                max_sleep=_MAX_SLEEP if self.legacy else _WAIT_SLEEP_CAP,
+                max_sleep=_WAIT_SLEEP_CAP,
             )
             chan.wid = 0  # the parent; forked children overwrite their copy
             self.channels[edge] = chan
@@ -706,7 +650,7 @@ class ParallelSession:
     def _run_periods(self, spec: WorkerSpec, periods: int) -> None:
         left = periods
         batch = self.batch_periods
-        # Only the legacy "dag" discipline pays a per-batch barrier; the
+        # Only the "dag" discipline pays a per-batch barrier; the
         # double_buffered and pipelined disciplines free-run through the
         # whole request on ring backpressure alone.
         dag = self.discipline == "dag"
@@ -953,6 +897,13 @@ class ParallelSession:
                 occupancy=cause.occupancy,
                 capacity=cause.capacity,
             )
+        # The failure's traceback frames may still hold numpy views of the
+        # arena (a half-consumed peek_block, say); clear their locals so
+        # close() can release the shared segment.
+        exc: Optional[BaseException] = cause
+        while exc is not None:
+            traceback.clear_frames(exc.__traceback__)
+            exc = exc.__cause__ or exc.__context__
         self.close()
         try:
             if reports:
@@ -1143,10 +1094,7 @@ class ParallelSession:
             # shm_open+mmap; anything suspect (abort, failure, stuck worker)
             # is released and unlinked outright.
             clean = (
-                not self.legacy
-                and not self._failed
-                and not stragglers
-                and not self._arena.aborted
+                not self._failed and not stragglers and not self._arena.aborted
             )
             self._procs = stragglers
             # Drop the session's own header view, then detach + release via
@@ -1178,8 +1126,7 @@ class ParallelSession:
         A worker's stall time is the sum of producer-side waits on rings it
         feeds plus consumer-side waits on rings it drains (the counters are
         cumulative across init + steady, read from shared memory); busy time
-        is the session's steady wall clock minus that.  The spread of
-        ``busy_share`` across workers is the skew the rebalancer acts on.
+        is the session's steady wall clock minus that.
         """
         wall = self.steady_seconds
         report: Dict[int, Dict[str, float]] = {
@@ -1210,7 +1157,6 @@ class ParallelSession:
                 f"{e.src.name}->{e.dst.name}" for e in self.ring_edges
             ],
             "batch_periods": self.batch_periods,
-            "work_profiled": self.work_profile is not None,
             "rings_proved": sum(1 for p in self.ring_proofs.values() if p.proved),
             "ring_capacities": {
                 f"{e.src.name}->{e.dst.name}": self.channels[e].capacity

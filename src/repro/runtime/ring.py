@@ -378,13 +378,13 @@ class RingChannel:
 
     def _wait(self, need: int, *, for_space: bool) -> None:
         """Block until ``need`` items (or free slots) are available."""
+        if for_space and need > self.capacity:
+            raise StreamItError(
+                f"ring {self.name!r}: a single push of {need} items can "
+                f"never fit capacity {self.capacity} (planner bug)"
+            )
         ctrl = self._ctrl
         if for_space:
-            if need > self.capacity:
-                raise StreamItError(
-                    f"ring {self.name!r}: a single push of {need} items can "
-                    f"never fit capacity {self.capacity} (planner bug)"
-                )
             ready = lambda: self.capacity - (ctrl[0] - ctrl[8]) >= need
         else:
             ready = lambda: ctrl[0] - ctrl[8] >= need
@@ -428,6 +428,10 @@ class RingChannel:
         finally:
             ctrl[need_slot] = 0
             ctrl[ns_slot] += time.perf_counter_ns() - t0
+            # A raised RingStall/RingAbort keeps this frame alive through
+            # its traceback: drop the shared-memory views it holds so the
+            # arena's segment can still close.
+            del ctrl, header, ready
 
     def _stall_error(self, need: int, for_space: bool) -> RingStall:
         side = "producer" if for_space else "consumer"

@@ -652,7 +652,7 @@ class TestLintCLI:
         assert "graph" in payload
         [(label, g)] = payload["graph"].items()
         assert label.endswith(".build")
-        for key in ("rings", "regions", "shared_state", "verified"):
+        for key in ("rings", "shared_state", "verified"):
             assert key in g, key
         # Without --graph the JSON schema is unchanged.
         rc = lint_main([target, "--json", str(report)])
@@ -663,7 +663,7 @@ class TestLintCLI:
         rc = lint_main(["repro.apps.fmradio", "--graph", "--strict"])
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert "certified region(s)" in out
+        assert "ring(s) proved" in out
 
     def test_app_suite_strict_clean(self, capsys):
         rc = lint_main(["src/repro/apps", "--strict"])

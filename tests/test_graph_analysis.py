@@ -1,15 +1,12 @@
 """Tests for the whole-graph static analysis (:mod:`repro.analysis.graph`).
 
-Covers the three certified artifacts end to end:
+Covers the two certified artifacts end to end:
 
 * shared-state race detection (SL401/SL402) and the partition fixup that
   co-locates racy filters and portal endpoints on one worker;
 * ring-capacity proofs — the parallel engine allocates exactly the proved
   capacity under ``REPRO_RING_SLACK=0`` and still produces bit-identical
-  output;
-* certified cross-splitjoin fusion regions — detection on hand-built
-  graphs, rejection of uncertifiable shapes, and bit-exact codegen fusion
-  with the region visible in the emitted module's meta.
+  output.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import pytest
 
 from repro.analysis.graph import (
     analyze_flat_graph,
-    certified_fusion_regions,
     graph_report,
     portal_links,
     ring_capacity_proofs,
@@ -29,13 +25,11 @@ from repro.analysis.graph import (
 from repro.apps import fmradio, freqhop
 from repro.errors import EngineDowngradeWarning
 from repro.graph import ArraySource, CollectSink, Filter, Pipeline, validate
-from repro.graph.composites import FeedbackLoop, SplitJoin
 from repro.graph.flatgraph import flatten
-from repro.graph.splitjoin import combine, duplicate, joiner_roundrobin, roundrobin
 from repro.mapping.strategies import partition_nodes
 from repro.runtime import Interpreter
 from repro.scheduling.steady import build_schedule
-from tests.helpers import FIR, Accumulator, Gain
+from tests.helpers import FIR, Gain
 
 
 class SharedWriter(Filter):
@@ -133,102 +127,6 @@ class TestSharedState:
 
 
 # ---------------------------------------------------------------------------
-# Certified fusion regions
-# ---------------------------------------------------------------------------
-
-
-def _splitjoin_app(branches, splitter=None, joiner=None):
-    sj = SplitJoin(
-        splitter if splitter is not None else duplicate(),
-        branches,
-        joiner if joiner is not None else joiner_roundrobin(),
-    )
-    return Pipeline(_source(), sj, CollectSink())
-
-
-class TestFusionRegions:
-    def test_duplicate_pure_branches_certified(self):
-        app = _splitjoin_app(
-            [Pipeline(Gain(2.0), Gain(0.5)), FIR([0.25, 0.5, 0.25])]
-        )
-        regions = certified_fusion_regions(flatten(app))
-        assert len(regions) == 1
-        [region] = regions
-        assert region.splitter.name.endswith(".split")
-        assert region.joiner.name.endswith(".join")
-        assert len(region.branches) == 2
-        # splitter + 3 branch filters + joiner
-        assert len(region.members) == 5
-
-    def test_roundrobin_combine_certified(self):
-        app = _splitjoin_app(
-            [Gain(2.0), Gain(3.0)],
-            splitter=roundrobin(),
-            joiner=combine(),
-        )
-        regions = certified_fusion_regions(flatten(app))
-        assert len(regions) == 1
-
-    def test_stateful_branch_rejected(self):
-        app = _splitjoin_app([Gain(2.0), Accumulator()])
-        assert certified_fusion_regions(flatten(app)) == []
-
-    def test_feedback_loop_rejected(self):
-        loop = FeedbackLoop(
-            joiner_roundrobin(),
-            Gain(0.5),
-            roundrobin(),
-            Gain(0.25),
-            delay=2,
-        )
-        app = Pipeline(_source(), loop, CollectSink())
-        assert certified_fusion_regions(flatten(app)) == []
-
-    def test_codegen_fuses_region_bit_exact(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_REGIONS", "1")
-
-        def build():
-            return _splitjoin_app(
-                [Pipeline(Gain(2.0), FIR([0.5, 0.5])), Gain(-1.0)]
-            )
-
-        ref_app = build()
-        ref_sink = next(
-            f for f in ref_app.filters() if isinstance(f, CollectSink)
-        )
-        Interpreter(ref_app, engine="scalar").run(4)
-
-        cg_app = build()
-        cg_sink = next(f for f in cg_app.filters() if isinstance(f, CollectSink))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EngineDowngradeWarning)
-            interp = Interpreter(cg_app, engine="codegen")
-        interp.run(4)
-        assert list(cg_sink.collected) == list(ref_sink.collected)
-        report = interp.engine_report()
-        blocks = report["codegen"]["blocks"] or []
-        region_blocks = [b for b in blocks if b["kind"] == "region"]
-        assert region_blocks and region_blocks[0]["mode"] == "inline"
-        fused = report["graph_analysis"]["regions_fused"]
-        assert len(fused) == 1 and fused[0]["branches"] == 2
-
-    def test_region_fusion_defaults_off(self, monkeypatch):
-        # The certificate is sound but the firing-at-a-time region runner
-        # loses to the members' vectorized kernels (E15), so fusion must
-        # not engage unless explicitly requested.
-        monkeypatch.delenv("REPRO_CODEGEN_REGIONS", raising=False)
-        app = _splitjoin_app([Gain(2.0), Gain(3.0)])
-        sink = next(f for f in app.filters() if isinstance(f, CollectSink))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EngineDowngradeWarning)
-            interp = Interpreter(app, engine="codegen")
-        interp.run(4)
-        report = interp.engine_report()
-        blocks = report["codegen"]["blocks"] or []
-        assert not [b for b in blocks if b["kind"] == "region"]
-
-
-# ---------------------------------------------------------------------------
 # Ring-capacity proofs
 # ---------------------------------------------------------------------------
 
@@ -322,7 +220,6 @@ class TestGraphReport:
             "cores",
             "verified",
             "rings",
-            "regions",
             "shared_state",
             "portals",
             "unbounded",
@@ -330,14 +227,13 @@ class TestGraphReport:
         ):
             assert key in payload, key
         assert payload["verified"] is True
-        assert payload["regions"], "fmradio has a certified eq_bank region"
         assert all(r["proved"] for r in payload["rings"])
         assert "partition_error" not in payload
 
-    def test_info_diagnostics_for_proofs_and_regions(self):
+    def test_info_diagnostics_for_proofs(self):
         report = graph_report(fmradio.build())
         codes = [d.code for d in report.bag]
-        assert "SL404" in codes and "SL405" in codes
+        assert "SL404" in codes
         assert not report.bag.errors() and not report.bag.warnings()
 
     def test_teleport_app_clean_after_colocation(self):

@@ -35,6 +35,12 @@ from repro.runtime import Interpreter
 from repro.runtime.parallel import clear_struct_cache, drain_warm_arenas
 from repro.scheduling.sdep import delivery_on_boundary
 
+# Shared-memory arenas must be released cleanly: a leaked numpy view makes
+# SharedMemory.close() fail inside a finalizer (an unraisable exception).
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 
 def _run_traced(builder, engine, periods=8, trace=True, **opts):
     """(collected outputs, interpreter) after a closed run."""

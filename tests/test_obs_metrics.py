@@ -39,6 +39,12 @@ from repro.obs.recorder import (
 from repro.runtime import Interpreter
 from repro.runtime.parallel import clear_struct_cache, drain_warm_arenas
 
+# Shared-memory arenas must be released cleanly: a leaked numpy view makes
+# SharedMemory.close() fail inside a finalizer (an unraisable exception).
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 
 def _counter(name, **labels):
     return METRICS.counter(name).labels(**labels).value

@@ -29,6 +29,15 @@ from repro.runtime import Interpreter
 from repro.runtime.parallel import clear_struct_cache, drain_warm_arenas
 from repro.runtime.ring import RingAbort, RingArena, RingStall
 
+from tests.helpers import FIR, Gain
+
+# A numpy view of a shared-memory arena that outlives its session makes
+# SharedMemory.close() fail inside a finalizer, which Python only reports
+# as an unraisable exception; treat that as a test failure.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 STRATEGY_NAMES = tuple(STRATEGIES)
 
 
@@ -344,6 +353,34 @@ class TestParallelDowngrade:
         interp.close()
 
 
+def _fir_pipeline():
+    return Pipeline(
+        ArraySource([float(i) for i in range(8)]),
+        FIR([0.25, 0.5, 0.25], name="fir"),
+        Gain(2.0, name="gain"),
+        CollectSink(),
+    )
+
+
+class TestHonestCores:
+    """The default ``cores`` on a single-CPU host degrades with SL304."""
+
+    def test_single_core_auto_degrades_with_sl304(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        with pytest.warns(EngineDowngradeWarning, match=r"\[SL304\]"):
+            interp = Interpreter(_fir_pipeline(), check=False, engine="parallel")
+        assert interp.engine_used == "batched"
+        assert any(d.code == "SL304" for d in interp.downgrades)
+        interp.close()
+
+    def test_explicit_cores_override_wins(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        scalar, _ = _run(_fir_pipeline, "scalar", periods=6)
+        collected, interp = _run(_fir_pipeline, "parallel", periods=6, cores=2)
+        assert interp.engine_used == "parallel"
+        assert collected == scalar
+
+
 # ---------------------------------------------------------------------------
 # Bit-exactness against the batched engine, across apps and strategies
 # ---------------------------------------------------------------------------
@@ -551,22 +588,6 @@ class TestDoubleBuffered:
         assert proto["barrier_waits"] == 2 * commands
         assert out == ref
 
-    def test_legacy_env_restores_dag_barriers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_LEGACY", "1")
-        builder = ALL_APPS["FilterBank"]
-        ref, _ = _run(builder, "batched", periods=6)
-        interp, sink = _fresh_parallel(builder, strategy="task")
-        try:
-            assert interp.parallel.discipline == "dag"
-            interp.run(6)
-            proto = interp.parallel.protocol_report()
-            out = list(sink.collected)
-        finally:
-            interp.close()
-        commands = proto["commands"]["init"] + proto["commands"]["steady"]
-        assert proto["barrier_waits"] > 2 * commands  # step barriers are back
-        assert out == ref
-
     def test_proofs_certify_double_buffer_capacity(self):
         interp, _ = _fresh_parallel(ALL_APPS["FilterBank"], strategy="task")
         try:
@@ -606,48 +627,3 @@ class TestWarmStructures:
         assert second["struct_cache"] == "hit"
         ref, _ = _run(builder, "batched", periods=2)
         assert out == ref
-
-
-class TestRebalance:
-    def test_busy_skew_arithmetic(self):
-        from repro.tune import busy_skew
-
-        report = {
-            0: {"busy_s": 3.0, "stall_s": 1.0, "wall_s": 4.0, "busy_share": 0.75},
-            1: {"busy_s": 1.0, "stall_s": 3.0, "wall_s": 4.0, "busy_share": 0.25},
-        }
-        assert busy_skew(report) == pytest.approx(0.75 / 0.5)
-        assert busy_skew({}) == 0.0
-
-    def test_rebalance_stores_profile_and_retune_applies(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.tune import rebalance_parallel
-
-        monkeypatch.setenv("REPRO_TUNED_CACHE", str(tmp_path))
-        builder = ALL_APPS["FilterBank"]
-        interp, _ = _fresh_parallel(builder)
-        try:
-            interp.run(6)
-            report = rebalance_parallel(interp, threshold=0.5)
-        finally:
-            interp.close()
-        assert report.triggered and report.stored
-        assert report.profile  # measured per-node work ratios
-        assert report.skew >= 1.0
-
-        app = builder()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EngineDowngradeWarning)
-            interp2 = Interpreter(
-                app, engine="parallel", strategy="softpipe", cores=2, tune=True
-            )
-        try:
-            if interp2.engine_used != "parallel":
-                pytest.skip("parallel engine downgraded")
-            assert interp2.tuned is not None
-            assert interp2.tuned.work == report.profile
-            interp2.run(2)  # the re-cut partition must still run clean
-        finally:
-            interp2.close()
-            drain_warm_arenas()

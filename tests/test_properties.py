@@ -383,32 +383,6 @@ def _isolated_codegen_cache():
     clear_codegen_cache()
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _isolated_tuned_cache():
-    """Force-tuned fuzz arms get a private cache and a tiny ladder budget."""
-    import os
-    import tempfile
-
-    from repro.tune import clear_tuned_cache
-
-    old_cache = os.environ.get("REPRO_TUNED_CACHE")
-    old_budget = os.environ.get("REPRO_TUNE_BUDGET")
-    with tempfile.TemporaryDirectory() as tmp:
-        os.environ["REPRO_TUNED_CACHE"] = tmp
-        os.environ["REPRO_TUNE_BUDGET"] = "0.005"
-        clear_tuned_cache()
-        yield
-    for key, old in (
-        ("REPRO_TUNED_CACHE", old_cache),
-        ("REPRO_TUNE_BUDGET", old_budget),
-    ):
-        if old is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = old
-    clear_tuned_cache()
-
-
 class TestBatchedEngineDifferential:
     """Randomized engine-differential tests: every generated graph must
     produce bit-identical outputs on the scalar, batched, and codegen
@@ -438,12 +412,6 @@ class TestBatchedEngineDifferential:
         generated, cg_interp = _run_engine(build, "codegen", 5)
         assert cg_interp.engine_used == "codegen"
         assert generated == scalar
-        # The tuned arm: force-tune (measured chunk + presize hints applied)
-        # and demand the same bits — tuning must never change semantics.
-        tuned, tuned_interp = _run_engine(build, "codegen", 5, tune="force")
-        assert tuned_interp.engine_used == "codegen"
-        assert tuned_interp.engine_report()["tuned"]["outcome"] == "forced"
-        assert tuned == scalar
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -638,8 +606,7 @@ class TestParallelEngineDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Differential fuzzing: whole-graph analysis artifacts (fusion regions and
-# ring-capacity proofs) on random splitjoin graphs
+# Differential fuzzing: ring-capacity proofs on random splitjoin graphs
 # ---------------------------------------------------------------------------
 
 
@@ -655,8 +622,7 @@ def _random_pure_stage(g):
 
 
 def _random_certifiable_splitjoin(g):
-    """A splitjoin whose branches are chains of pure SISO filters —
-    exactly the shape ``certified_fusion_regions`` must accept."""
+    """A splitjoin whose branches are chains of pure SISO filters."""
     branches = int(g.integers(2, 5))
     children = []
     for _ in range(branches):
@@ -670,53 +636,10 @@ def _random_certifiable_splitjoin(g):
 
 
 class TestGraphAnalysisDifferential:
-    """Randomized guards on the whole-graph analysis artifacts.
-
-    Every random splitjoin built from pure branches must yield a certified
-    fusion region; fusing it in codegen must stay bit-exact vs scalar; and
-    the parallel engine must run stall-free at the statically-proved
-    minimal ring capacities (``REPRO_RING_SLACK=0``) with identical output.
+    """Randomized guard on the whole-graph analysis artifacts: the
+    parallel engine must run stall-free at the statically-proved minimal
+    ring capacities (``REPRO_RING_SLACK=0``) with identical output.
     """
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_certified_regions_fuse_bit_exact(self, seed):
-        import os
-
-        from repro.analysis.graph import certified_fusion_regions
-        from repro.graph.flatgraph import flatten
-
-        gen = np.random.default_rng(seed)
-        data = [float(v) for v in gen.uniform(-4, 4, size=8)]
-        spec_seed = int(gen.integers(0, 2**32))
-
-        def build():
-            g = np.random.default_rng(spec_seed)
-            stages = [_random_certifiable_splitjoin(g)]
-            if g.integers(0, 2):
-                stages.append(_random_pure_stage(g))
-            return Pipeline(ArraySource(data), *stages, CollectSink())
-
-        regions = certified_fusion_regions(flatten(build()))
-        assert regions, "pure-branch splitjoin must certify a region"
-
-        scalar, _ = _run_engine(build, "scalar", 5)
-        old = os.environ.get("REPRO_CODEGEN_REGIONS")
-        os.environ["REPRO_CODEGEN_REGIONS"] = "1"
-        try:
-            generated, cg_interp = _run_engine(build, "codegen", 5)
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_CODEGEN_REGIONS", None)
-            else:
-                os.environ["REPRO_CODEGEN_REGIONS"] = old
-        assert generated == scalar
-        if cg_interp.engine_used == "codegen":
-            report = cg_interp.engine_report()["codegen"]
-            blocks = report["blocks"] or []
-            assert [b for b in blocks if b["kind"] == "region"], (
-                "certified region did not reach the emitted module"
-            )
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))

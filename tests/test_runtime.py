@@ -1,5 +1,7 @@
 """Tests for channels and the interpreter."""
 
+import warnings
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,10 @@ from repro.graph import (
     joiner_roundrobin,
     roundrobin,
 )
+from repro.errors import EngineDowngradeWarning
+from repro.graph.base import Filter
 from repro.runtime import Channel, ChannelUnderflow, Interpreter
+from repro.runtime.plan import _CHUNK_ITEM_CAP
 from tests.helpers import (
     FIR,
     Butterfly2,
@@ -185,3 +190,111 @@ class TestInterpreter:
         data = [float(i) for i in range(total)]
         out = run_pipeline(sj, data=data, periods=3)
         assert out == data * 3
+
+
+# ---------------------------------------------------------------------------
+# Superbatch chunk sizing (ExecutionPlan._chunk_periods)
+# ---------------------------------------------------------------------------
+
+
+def _chunk_pipeline():
+    return Pipeline(
+        ArraySource([float(i) for i in range(8)]),
+        FIR([0.25, 0.5, 0.25], name="fir"),
+        Gain(2.0, name="gain"),
+        CollectSink(),
+    )
+
+
+def _run_engine(build, engine, periods=6):
+    app = build()
+    sink = next((f for f in app.filters() if isinstance(f, CollectSink)), None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineDowngradeWarning)
+        interp = Interpreter(app, check=False, engine=engine)
+        try:
+            interp.run(periods=periods)
+        finally:
+            interp.close()
+    return (list(sink.collected) if sink is not None else []), interp
+
+
+class _WidePush(Filter):
+    """Pushes more items per firing than the 512 KiB chunk cap covers."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__(pop=1, push=width)
+        self.width = width
+
+    def work(self) -> None:
+        x = self.pop()
+        for _ in range(self.width):
+            self.push(x)
+
+
+class _WideSink(Filter):
+    def __init__(self, width: int) -> None:
+        super().__init__(pop=width, push=0)
+        self.width = width
+
+    def work(self) -> None:
+        for _ in range(self.width):
+            self.pop()
+
+
+class TestChunkPeriods:
+    """Edge cases of the static chunk heuristic and its manual override."""
+
+    def test_tiny_graph_gets_full_cap(self):
+        _, interp = _run_engine(_chunk_pipeline, "batched", periods=2)
+        # All edges move 1 item/period, so the cap divides down to itself.
+        assert interp.plan.chunk_periods == _CHUNK_ITEM_CAP
+
+    def test_huge_rate_edge_clamps_to_one(self):
+        width = _CHUNK_ITEM_CAP * 2
+
+        def build():
+            return Pipeline(
+                ArraySource([1.0, 2.0]), _WidePush(width), _WideSink(width)
+            )
+
+        _, interp = _run_engine(build, "batched", periods=2)
+        # One period already overflows the per-edge cap: max(1, cap // width).
+        assert interp.plan.chunk_periods == 1
+
+    def test_feedback_segmented_plan_still_chunks(self):
+        def build():
+            loop = FeedbackLoop(
+                joiner_roundrobin(1, 1),
+                Gain(0.5),
+                roundrobin(1, 1),
+                Identity(),
+                delay=2,
+                init_path=lambda i: 0.0,
+            )
+            return Pipeline(
+                ArraySource([1.0, 2.0, 3.0]), loop, CollectSink()
+            )
+
+        _, interp = _run_engine(build, "batched", periods=4)
+        plan = interp.plan
+        assert plan.segments is not None and not plan.superbatch
+        assert plan.chunk_periods >= 1
+        # The manual override works on segmented plans too.
+        plan.chunk_periods = 7
+        assert plan.chunk_periods == 7
+
+    def test_manual_override_is_honored_by_run(self):
+        def run_with_chunk(chunk):
+            app = _chunk_pipeline()
+            sink = next(f for f in app.filters() if isinstance(f, CollectSink))
+            interp = Interpreter(app, check=False, engine="batched")
+            interp.plan.chunk_periods = chunk
+            interp.run(periods=9)
+            interp.close()
+            return list(sink.collected)
+
+        scalar, _ = _run_engine(_chunk_pipeline, "scalar", periods=9)
+        assert run_with_chunk(1) == scalar
+        assert run_with_chunk(4) == scalar
+        assert run_with_chunk(10_000) == scalar
