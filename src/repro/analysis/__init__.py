@@ -94,7 +94,9 @@ def analyze_filter(filt: Filter, refresh: bool = False) -> FilterAnalysis:
     Analyses are cached per live instance: attribute values read during
     rate analysis are the instance's *current* values, so callers that
     mutate configuration attributes after construction (or that analyze
-    before ``init()``) can pass ``refresh=True``.
+    before ``init()``) can pass ``refresh=True``.  Below this cache,
+    :func:`analyze_rates` shares reports across instances that read equal
+    values, so a refresh misses exactly when a value it read has changed.
     """
     if not refresh:
         try:

@@ -24,7 +24,9 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+import weakref
 from dataclasses import dataclass, field
+from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.base import Filter
@@ -41,18 +43,67 @@ class SourceUnavailable(Exception):
     """The method's source text cannot be recovered (C ext, exec, REPL)."""
 
 
-def method_ast(cls: type, name: str = "work") -> ast.FunctionDef:
-    """Parse ``cls.<name>`` into a function AST (raises SourceUnavailable)."""
-    fn = inspect.unwrap(getattr(cls, name))
+#: id(code) -> (code, parsed def).  By identity: equal code objects can
+#: come from different source text; holding the code keeps its id unique.
+#: A callable without ``__code__`` keys on itself.
+_AST_CACHE: Dict[int, Tuple[object, ast.FunctionDef]] = {}
+
+
+def function_ast(fn, label: Optional[str] = None) -> ast.FunctionDef:
+    """Parse ``fn`` into its ``def`` node once per code object.
+
+    Every caller gets the same tree: deep-copy it before rewriting nodes.
+    Raises :class:`SourceUnavailable` when there is no plain ``def`` source.
+    """
+    fn = inspect.unwrap(fn)
+    code = getattr(fn, "__code__", fn)
+    cached = _AST_CACHE.get(id(code))
+    if cached is not None and cached[0] is code:
+        return cached[1]
+    label = label or getattr(fn, "__qualname__", repr(fn))
     try:
         source = textwrap.dedent(inspect.getsource(fn))
     except (OSError, TypeError) as exc:
-        raise SourceUnavailable(f"{cls.__name__}.{name}: {exc}")
-    tree = ast.parse(source)
-    node = tree.body[0]
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        raise SourceUnavailable(f"{cls.__name__}.{name} is not a plain function")
+        raise SourceUnavailable(f"{label}: {exc}")
+    node = ast.parse(source).body[0]
+    if not isinstance(node, ast.FunctionDef):
+        raise SourceUnavailable(f"{label} is not a plain function")
+    _AST_CACHE[id(code)] = (code, node)
     return node
+
+
+def method_ast(cls: type, name: str = "work") -> ast.FunctionDef:
+    """Parse ``cls.<name>`` into a shared, read-only function AST."""
+    return function_ast(getattr(cls, name), f"{cls.__name__}.{name}")
+
+
+def method_code(cls: type, name: str) -> Optional[CodeType]:
+    """Code object of the plain function behind ``cls.<name>``, else None."""
+    fn = getattr(cls, name, None)
+    try:
+        raw = inspect.unwrap(fn)
+    except ValueError:  # a __wrapped__ cycle
+        return None
+    if callable(fn) and isinstance(raw, FunctionType):
+        return raw.__code__
+    return None
+
+
+_LOAD = ast.Load()
+
+
+def as_load(node: ast.AST) -> ast.AST:
+    """Structural copy of an assignment target with every ``ctx`` a Load."""
+    clone = type(node)()
+    for name, value in ast.iter_fields(node):
+        if name == "ctx":
+            value = _LOAD
+        elif isinstance(value, ast.AST):
+            value = as_load(value)
+        elif isinstance(value, list):
+            value = [as_load(v) if isinstance(v, ast.AST) else v for v in value]
+        setattr(clone, name, value)
+    return ast.copy_location(clone, node)
 
 
 @dataclass
@@ -79,24 +130,36 @@ class WorkEffects:
         return not self.dynamic and not self.escapes
 
 
-#: (class, method name) -> WorkEffects; classes are module-level, so the
-#: cache can key on the type object itself for the process lifetime.
-_EFFECTS_CACHE: Dict[Tuple[type, str], WorkEffects] = {}
+#: class -> {method name: (code objects scanned, WorkEffects)}.  Weak keys
+#: let dynamically created classes be collected; an entry is reused only
+#: while ``work`` and every helper it reached still have the code objects
+#: that were scanned, so monkeypatching a method re-scans.
+_EFFECTS_CACHE: "weakref.WeakKeyDictionary[type, Dict[str, Tuple[tuple, WorkEffects]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _scanned_codes(cls: type, method: str, eff: WorkEffects) -> tuple:
+    return tuple(method_code(cls, name) for name in (method, *sorted(eff.helpers)))
 
 
 def work_effects(cls: type, method: str = "work") -> WorkEffects:
     """Effects of ``cls.<method>`` including transitively-called helpers."""
-    key = (cls, method)
-    if key not in _EFFECTS_CACHE:
-        eff = WorkEffects()
-        try:
-            fn = method_ast(cls, method)
-        except SourceUnavailable as exc:
-            eff.dynamic.append(str(exc))
-        else:
-            _Scanner(cls, eff, visiting={method}).run(fn)
-        _EFFECTS_CACHE[key] = eff
-    return _EFFECTS_CACHE[key]
+    per_class = _EFFECTS_CACHE.setdefault(cls, {})
+    cached = per_class.get(method)
+    if cached is not None:
+        codes, eff = cached
+        if all(a is b for a, b in zip(codes, _scanned_codes(cls, method, eff))):
+            return eff
+    eff = WorkEffects()
+    try:
+        fn = method_ast(cls, method)
+    except SourceUnavailable as exc:
+        eff.dynamic.append(str(exc))
+    else:
+        _Scanner(cls, eff, visiting={method}).run(fn)
+    per_class[method] = (_scanned_codes(cls, method, eff), eff)
+    return eff
 
 
 class _Scanner:

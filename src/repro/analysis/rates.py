@@ -31,6 +31,16 @@ Safety rules — the analyzer must never perturb the program under analysis:
 The pass also records *certification blockers*: reasons the computation is
 not provably safe to run column-wise over a whole batch.  These feed the
 vectorization proof in :mod:`repro.analysis.vectorsafety`.
+
+:func:`analyze_rates` memoizes reports.  The executor is deterministic in
+what it reads from outside its own state: ``self.<attr>`` values, global
+and builtin names, attributes of modules and classes, and the code of
+``work`` and of every helper it inlines.  Each run records those reads
+with a fingerprint (see :func:`_value_fp`); a later instance of the same
+class, declared rates and unstable-attribute set reuses the report when
+every recorded read fingerprints equal on it.  A run that reads a value
+with no fingerprint (a Portal, a callable, any other opaque object) is
+never stored.
 """
 
 from __future__ import annotations
@@ -38,15 +48,21 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from dataclasses import dataclass, field
+import types
+import weakref
+from array import array
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.effects import (
     CHANNEL_ATTRS,
     SourceUnavailable,
+    as_load,
     method_ast,
+    method_code,
 )
-from repro.graph.base import Filter
+from repro.graph.base import Filter, Rate
+from repro.obs.metrics import METRICS, MeteredStats
 
 try:  # numpy is an optional acceleration dependency elsewhere in the repo
     import numpy as _np
@@ -251,6 +267,7 @@ class RateAnalyzer:
     def __init__(self, filt: Filter, unstable_attrs: Set[str]) -> None:
         self.filt = filt
         self.cls = type(filt)
+        self.globals, self.builtins = _namespaces(self.cls)
         self.unstable = set(unstable_attrs)
         self.max_peek: float = -1
         self.dynamic: List[str] = []
@@ -265,6 +282,24 @@ class RateAnalyzer:
         #: this filter's channels, so such calls must degrade to dynamic.
         self.channel_escaped = False
         self.ended: List[_State] = []
+        #: Outside reads ``(kind, name, owner, fingerprint)`` in execution
+        #: order, for the memo; None once a read had no fingerprint.
+        self.reads: Optional[List[tuple]] = []
+        self._read_keys: Set[tuple] = set()
+
+    # -- memo read-set -------------------------------------------------------
+
+    def record(self, kind: str, name: str, fp: Any, owner: Any = None) -> None:
+        if self.reads is None:
+            return
+        key = (kind, name, id(owner))
+        if key in self._read_keys:
+            return
+        if fp is _OPAQUE:
+            self.reads = None
+            return
+        self._read_keys.add(key)
+        self.reads.append((kind, name, None if owner is None else _Ident(owner), fp))
 
     # -- notes ---------------------------------------------------------------
 
@@ -291,6 +326,9 @@ class RateAnalyzer:
     def run(self) -> RateReport:
         pop = Interval.exactly(0)
         push = Interval.exactly(0)
+        # A work() that is not a plain function has no code to key on.
+        work_code = method_code(self.cls, "work")
+        self.record("method", "work", _Ident(work_code) if work_code else _OPAQUE)
         try:
             fn = method_ast(self.cls)
         except SourceUnavailable as exc:
@@ -400,7 +438,7 @@ class RateAnalyzer:
         elif isinstance(stmt, ast.AugAssign):
             load = ast.copy_location(
                 ast.BinOp(
-                    left=_as_load(stmt.target), op=stmt.op, right=stmt.value
+                    left=as_load(stmt.target), op=stmt.op, right=stmt.value
                 ),
                 stmt,
             )
@@ -913,19 +951,13 @@ class RateAnalyzer:
     # -- attribute / global resolution ---------------------------------------
 
     def _global(self, name: str) -> Any:
-        fn = inspect_unwrap(getattr(self.cls, "work"))
-        globs = getattr(fn, "__globals__", {})
-        if name in globs:
-            value = globs[name]
+        value = _lookup_global(self.globals, self.builtins, name)
+        self.record("global", name, _shared_fp(value))
+        if value is _MISSING:
+            return UNKNOWN
+        if name in self.globals:
             self.foreign.add(id(value))
-            return value
-        builtins_mod = globs.get("__builtins__", __builtins__)
-        builtins_dict = (
-            builtins_mod if isinstance(builtins_mod, dict) else vars(builtins_mod)
-        )
-        if name in builtins_dict:
-            return builtins_dict[name]
-        return UNKNOWN
+        return value
 
     def eval_attribute(self, node: ast.Attribute, state: _State, depth: int) -> Any:
         owner = self.eval(node.value, state, depth)
@@ -938,8 +970,10 @@ class RateAnalyzer:
             try:
                 value = getattr(self.filt, attr)
             except AttributeError:
+                self.record("attr", attr, _MISSING)
                 self.note_dynamic(f"work() reads undefined attribute self.{attr}")
                 return UNKNOWN
+            self.record("attr", attr, _value_fp(value))
             return self._import_value(value)
         taint = _tainted(owner)
         if taint is DATA:
@@ -949,12 +983,25 @@ class RateAnalyzer:
             return UNKNOWN
         if isinstance(owner, _Channel):
             return UNKNOWN
-        try:
-            value = getattr(owner, node.attr)
-        except Exception:
+        value = self._getattr(owner, node.attr)
+        if value is _MISSING:
             return UNKNOWN
         if id(owner) in self.foreign:
             value = self._import_value(value)
+        return value
+
+    def _getattr(self, owner: Any, name: str) -> Any:
+        """``getattr`` on a concrete value; _MISSING when it raises.
+
+        Attributes of shared objects (modules, classes, functions) can
+        change between analyses, so those reads go into the read-set.
+        """
+        try:
+            value = getattr(owner, name)
+        except Exception:
+            value = _MISSING
+        if _is_shared(owner):
+            self.record("getattr", name, _shared_fp(value), owner)
         return value
 
     def _import_value(self, value: Any) -> Any:
@@ -1002,7 +1049,9 @@ class RateAnalyzer:
                         "channel reference escaped"
                     )
                 return UNKNOWN
-            callee = getattr(owner, method, None)
+            callee = self._getattr(owner, method)
+            if callee is _MISSING:
+                callee = None
             return self.call_concrete(node, callee, state, depth)
         callee = self.eval(func, state, depth)
         taint = _tainted(callee)
@@ -1052,9 +1101,9 @@ class RateAnalyzer:
         if method == "push" and len(node.args) == 1 and not node.keywords:
             self.do_push(state, self.eval(node.args[0], state, depth))
             return None
-        fn = getattr(self.cls, method, None)
-        raw = inspect_unwrap(fn) if fn is not None else None
-        if raw is None or not callable(fn) or not _is_plain_function(raw):
+        code = method_code(self.cls, method)
+        self.record("method", method, _Ident(code) if code else _MISSING)
+        if code is None:
             # A callable instance attribute or an unresolvable descriptor:
             # never call it.  If it could touch channels we cannot know.
             args = self._consume_args(node, state, depth)
@@ -1162,6 +1211,8 @@ class RateAnalyzer:
             getattr(math, getattr(callee, "__name__", ""), None) is callee
         )
         is_np = _np is not None and (module.startswith("numpy"))
+        if module.startswith("numpy.random"):
+            self.reads = None  # evaluated below, and never the same twice
         if has_data:
             if is_math:
                 name = getattr(callee, "__name__", "?")
@@ -1192,11 +1243,6 @@ class RateAnalyzer:
         return UNKNOWN
 
 
-def _as_load(node: ast.expr) -> ast.expr:
-    clone = ast.copy_location(ast.parse(ast.unparse(node), mode="eval").body, node)
-    return clone
-
-
 def _has_channel_ops(node: ast.AST) -> bool:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
@@ -1224,10 +1270,171 @@ def inspect_unwrap(fn: Any) -> Any:
         return fn
 
 
-def _is_plain_function(fn: Any) -> bool:
-    import types
+# ---------------------------------------------------------------------------
+# The memo
+# ---------------------------------------------------------------------------
 
-    return isinstance(fn, types.FunctionType)
+#: Marks a read that found nothing (undefined name or attribute).
+_MISSING = object()
+#: A value with no fingerprint: the run that read it is never memoized.
+_OPAQUE = object()
+
+_EXACT_SCALARS = frozenset({int, bool, str, bytes, type(None)})
+
+
+def _value_fp(value: Any) -> Any:
+    """A hashable stand-in that is equal only for values the analyzer
+    cannot tell apart, or :data:`_OPAQUE`.
+
+    Scalars, str/bytes, tuples/lists of those (recursively), ndarrays as
+    dtype+shape+bytes, and :class:`Rate` as its three ints.  Types are part
+    of the fingerprint (``1``, ``1.0`` and ``True`` differ) and floats
+    compare exactly (``-0.0`` differs from ``0.0``, NaN equals NaN).
+    """
+    kind = type(value)
+    if kind in _EXACT_SCALARS:
+        return (kind, value)
+    if kind is float:
+        return (kind, value.hex())
+    if kind is complex:
+        return (kind, value.real.hex(), value.imag.hex())
+    if kind is list or kind is tuple:
+        item_kinds = set(map(type, value))
+        if len(item_kinds) == 1:
+            (item_kind,) = item_kinds
+            if item_kind is float:
+                return (kind, float, array("d", value).tobytes())
+            if item_kind in _EXACT_SCALARS:
+                return (kind, item_kind, tuple(value))
+        items = tuple(_value_fp(v) for v in value)
+        if any(item is _OPAQUE for item in items):
+            return _OPAQUE
+        return (kind, items)
+    if kind is Rate:
+        return (kind, value.peek, value.pop, value.push)
+    if _np is not None and (kind is _np.ndarray or isinstance(value, _np.generic)):
+        if value.dtype.hasobject:
+            return _OPAQUE
+        return (kind, value.dtype.str, value.shape, value.tobytes())
+    return _OPAQUE
+
+
+def _is_shared(value: Any) -> bool:
+    """Modules, classes and other callables: compared by identity."""
+    return isinstance(value, types.ModuleType) or callable(value)
+
+
+def _shared_fp(value: Any) -> Any:
+    """Fingerprint of a global or an attribute of a shared object."""
+    if value is _MISSING:
+        return _MISSING
+    return _Ident(value) if _is_shared(value) else _value_fp(value)
+
+
+class _Ident:
+    """Identity of a recorded object, weakly held where the type allows."""
+
+    __slots__ = ("ref",)
+
+    def __init__(self, obj: Any) -> None:
+        try:
+            self.ref = weakref.ref(obj)
+        except TypeError:  # ufuncs, some builtins: long-lived anyway
+            self.ref = lambda: obj
+
+    def __call__(self) -> Any:
+        return self.ref()
+
+
+def _matches(recorded: Any, value: Any) -> bool:
+    if recorded is _MISSING or value is _MISSING:
+        return recorded is value
+    if isinstance(recorded, _Ident):
+        return recorded() is value
+    return recorded == _value_fp(value)
+
+
+def _namespaces(cls: type) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The globals and builtins that names in ``cls.work`` resolve in."""
+    globs = getattr(inspect_unwrap(getattr(cls, "work")), "__globals__", {})
+    builtins_mod = globs.get("__builtins__", __builtins__)
+    builtins_dict = (
+        builtins_mod if isinstance(builtins_mod, dict) else vars(builtins_mod)
+    )
+    return globs, builtins_dict
+
+
+def _lookup_global(globs: Dict[str, Any], builtins: Dict[str, Any], name: str) -> Any:
+    if name in globs:
+        return globs[name]
+    return builtins.get(name, _MISSING)
+
+
+@dataclass
+class _MemoEntry:
+    reads: Tuple[tuple, ...]
+    report: RateReport
+
+    def matches(self, filt: Filter) -> bool:
+        """Would a fresh analysis of ``filt`` read exactly these values?"""
+        cls = type(filt)
+        globs = builtins = None
+        for kind, name, owner, fp in self.reads:
+            if kind == "attr":
+                try:
+                    value = getattr(filt, name)
+                except AttributeError:
+                    value = _MISSING
+                except Exception:
+                    return False
+            elif kind == "global":
+                if globs is None:
+                    globs, builtins = _namespaces(cls)
+                value = _lookup_global(globs, builtins, name)
+            elif kind == "method":
+                value = method_code(cls, name) or _MISSING
+            else:  # "getattr" on a shared object
+                obj = owner()
+                if obj is None:
+                    return False
+                try:
+                    value = getattr(obj, name)
+                except Exception:
+                    value = _MISSING
+            if not _matches(fp, value):
+                return False
+        return True
+
+
+def _copy_report(report: RateReport) -> RateReport:
+    return replace(report, pop=report.pop.copy(), push=report.push.copy())
+
+
+#: class -> {(peek, pop, push, unstable attrs): [entry, ...]}.  Weak keys
+#: let dynamically created classes be collected with their entries.
+_MEMO: "weakref.WeakKeyDictionary[type, Dict[tuple, List[_MemoEntry]]]" = (
+    weakref.WeakKeyDictionary()
+)
+#: Distinct read-sets kept per key; later misses are analyzed, not stored.
+_MAX_ENTRIES = 64
+
+#: Memo outcomes, mirrored into the always-on registry as
+#: ``repro_analysis_memo_total{outcome=...}``.
+memo_stats: Dict[str, int] = MeteredStats(
+    METRICS.counter(
+        "repro_analysis_memo_total",
+        "Rate-analysis memo lookups by outcome (hit/miss/uncacheable)",
+    ),
+    lambda key: {"outcome": key},
+    {"hit": 0, "miss": 0, "uncacheable": 0},
+)
+
+
+def clear_rate_memo() -> None:
+    """Drop every memoized report and zero :data:`memo_stats`."""
+    _MEMO.clear()
+    for key in memo_stats:
+        memo_stats[key] = 0
 
 
 def analyze_rates(filt: Filter, unstable_attrs: Set[str]) -> RateReport:
@@ -1236,5 +1443,23 @@ def analyze_rates(filt: Filter, unstable_attrs: Set[str]) -> RateReport:
     ``unstable_attrs`` are the attributes the effects pass proved (or
     suspects) are mutated across firings — their reads evaluate to
     :data:`UNKNOWN` so the analysis never trusts a stale build-time value.
+
+    Memoized (see the module docstring); every call returns a report of
+    its own, so callers may mutate it.
     """
-    return RateAnalyzer(filt, unstable_attrs).run()
+    rate = filt.rate
+    key = (rate.peek, rate.pop, rate.push, frozenset(unstable_attrs))
+    entries = _MEMO.setdefault(type(filt), {}).setdefault(key, [])
+    for entry in entries:
+        if entry.matches(filt):
+            memo_stats["hit"] += 1
+            return _copy_report(entry.report)
+    analyzer = RateAnalyzer(filt, unstable_attrs)
+    report = analyzer.run()
+    if analyzer.reads is None:
+        memo_stats["uncacheable"] += 1
+    else:
+        memo_stats["miss"] += 1
+        if len(entries) < _MAX_ENTRIES:
+            entries.append(_MemoEntry(tuple(analyzer.reads), _copy_report(report)))
+    return report

@@ -26,6 +26,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.analysis.effects import SourceUnavailable, method_ast
 from repro.graph.base import Filter
 from repro.graph.flatgraph import FILTER, FlatGraph, FlatNode
 
@@ -208,14 +209,10 @@ def work_per_firing(filt: Filter) -> float:
     cached = _cache.get(key)
     if cached is not None:
         return cached
-    import inspect
-    import textwrap
-
     try:
-        source = textwrap.dedent(inspect.getsource(type(filt).work))
-        fn = ast.parse(source).body[0]
+        fn = method_ast(type(filt))
         cost = _CostWalker(filt).body_cost(fn.body, {})
-    except (OSError, SyntaxError, TypeError):
+    except (SourceUnavailable, SyntaxError, TypeError):
         # Fall back to a rate-proportional estimate for unanalyzable work.
         cost = 2.0 * (filt.rate.peek + filt.rate.push) + 4.0
     cost = max(cost, 1.0)

@@ -27,14 +27,13 @@ transformations used by the parallelizers.
 from __future__ import annotations
 
 import ast
-import inspect
 import math
-import textwrap
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from repro.analysis.effects import SourceUnavailable, as_load, method_ast
 from repro.errors import ExtractionError
 from repro.graph.base import Filter
 from repro.linear.linrep import LinearRep
@@ -184,16 +183,11 @@ def mutated_attributes(work_ast: ast.AST) -> Set[str]:
 
 
 def work_source_ast(filt: Filter) -> ast.FunctionDef:
-    """Parse the filter's ``work`` method into a function AST."""
+    """The filter's ``work`` method as a shared, read-only function AST."""
     try:
-        source = inspect.getsource(type(filt).work)
-    except (OSError, TypeError) as exc:
-        raise ExtractionError(f"cannot obtain source of {type(filt).__name__}.work: {exc}")
-    tree = ast.parse(textwrap.dedent(source))
-    fn = tree.body[0]
-    if not isinstance(fn, ast.FunctionDef):
-        raise ExtractionError(f"{type(filt).__name__}.work is not a plain function")
-    return fn
+        return method_ast(type(filt))
+    except SourceUnavailable as exc:
+        raise ExtractionError(str(exc))
 
 
 class _SelfProxy:
@@ -276,7 +270,7 @@ class _Analyzer:
             for target in stmt.targets:
                 self.assign(target, value)
         elif isinstance(stmt, ast.AugAssign):
-            current = self.eval(_load_of(stmt.target))
+            current = self.eval(as_load(stmt.target))
             value = self.binop(type(stmt.op), current, self.eval(stmt.value))
             self.assign(stmt.target, value)
         elif isinstance(stmt, ast.AnnAssign):
@@ -600,12 +594,6 @@ class _Analyzer:
             self.do_push(self.eval(node.args[0]))
             return None
         raise ExtractionError(f"unknown channel method {method}")  # pragma: no cover
-
-
-def _load_of(target: ast.expr) -> ast.expr:
-    """Clone an assignment target as a load expression (for AugAssign)."""
-    clone = ast.copy_location(ast.parse(ast.unparse(target), mode="eval").body, target)
-    return clone
 
 
 # ---------------------------------------------------------------------------

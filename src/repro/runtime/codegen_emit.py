@@ -35,11 +35,11 @@ Per-block lowering modes (reported through ``engine_report()`` and the
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
-import inspect
-import textwrap
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.effects import SourceUnavailable, function_ast, method_ast
 from repro.graph.flatgraph import FILTER, JOINER, SPLITTER
 from repro.graph.splitjoin import COMBINE, DUPLICATE, NULL
 from repro.runtime.plan import (
@@ -91,8 +91,7 @@ def _kernel_splicable(cls: type) -> bool:
         fn = cls.work
         if fn.__code__.co_freevars:
             return False
-        fdef = _work_fdef(fn)
-        args = fdef.args
+        args = function_ast(fn).args
         return (
             len(args.args) == 1
             and not args.posonlyargs
@@ -101,7 +100,7 @@ def _kernel_splicable(cls: type) -> bool:
             and args.kwarg is None
             and not args.defaults
         )
-    except (OSError, TypeError, SyntaxError, IndexError):
+    except (SourceUnavailable, SyntaxError, IndexError):
         return False
 
 
@@ -188,15 +187,6 @@ def stream_fingerprint(graph, program, senders, receivers) -> str:
 # -- kernel splicing ----------------------------------------------------------
 
 
-def _work_fdef(fn) -> ast.FunctionDef:
-    src = textwrap.dedent(inspect.getsource(fn))
-    tree = ast.parse(src)
-    fdef = tree.body[0]
-    if not isinstance(fdef, ast.FunctionDef):
-        raise Unsupported("work() source is not a plain function definition")
-    return fdef
-
-
 def kernel_source(cls: type, kname: str) -> str:
     """The class's work() source as a module-level kernel definition.
 
@@ -206,7 +196,7 @@ def kernel_source(cls: type, kname: str) -> str:
     the exact vector-math namespace), exactly like
     :func:`~repro.runtime.vectorize.lift_work`.
     """
-    fdef = _work_fdef(cls.work)
+    fdef = copy.deepcopy(method_ast(cls))  # the parsed tree is shared
     fdef.name = kname
     fdef.decorator_list = []
     return ast.unparse(ast.fix_missing_locations(fdef))
@@ -289,7 +279,7 @@ class WorkInliner:
         out_items: Optional[str],
         gprefix: str,
     ) -> None:
-        fdef = _work_fdef(fn)
+        fdef = copy.deepcopy(function_ast(fn))  # rewritten in place below
         if fn.__code__.co_freevars:
             raise Unsupported("work() closes over free variables")
         if not fdef.args.args:
@@ -800,7 +790,7 @@ def emit_module(plan, fingerprint: str) -> Tuple[str, dict]:
             try:
                 emitter = CoreEmitter(plan, core, node_index, edge_index)
                 lines = emitter.emit()
-            except Unsupported as exc:
+            except (Unsupported, SourceUnavailable) as exc:
                 body.append(f"# core fallback ({exc})")
                 body.append("_core_run(scale)")
                 meta_blocks.append(

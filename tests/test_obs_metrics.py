@@ -331,6 +331,24 @@ class TestInterpreterIntegration:
         assert mirrored1 > mirrored0
         assert plan_cache_stats["hits"] + plan_cache_stats["misses"] >= 1
 
+    def test_analysis_memo_outcomes_mirror_stats_dict(self):
+        from repro.analysis.rates import memo_stats
+
+        outcomes = ("hit", "miss", "uncacheable")
+
+        def mirrored():
+            return {o: _counter("repro_analysis_memo_total", outcome=o) for o in outcomes}
+
+        metric0, stats0 = mirrored(), dict(memo_stats)
+        for _ in range(2):  # validation analyzes every filter of the app
+            Interpreter(ALL_APPS["FIR"]()).close()
+        metric1 = mirrored()
+        assert metric1["hit"] > metric0["hit"]
+        for o in outcomes:
+            assert metric1[o] - metric0[o] == memo_stats[o] - stats0[o]
+        families = parse_prometheus(METRICS.prometheus())
+        assert families["repro_analysis_memo_total"]["type"] == "counter"
+
     def test_disabled_registry_freezes_counters_not_output(self):
         baseline, _ = _run_app("FIR", "batched", periods=3)
         runs0 = _counter("repro_runs_total", engine="batched")
